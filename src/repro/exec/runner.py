@@ -623,7 +623,8 @@ class SweepRunner:
             return None
         point_payload: dict[str, dict] = {}
         for point in report.points:
-            point_payload.setdefault(point.key, result_headline(point.result))
+            point_payload.setdefault(keys[point.index],
+                                     result_headline(point.result))
         headline: dict[str, float] = {}
         if point_payload:
             for metric in ("avg_latency", "p95_latency", "throughput"):

@@ -20,45 +20,48 @@ just slower.
 
 Division of labour with the Python driver:
 
-- the traffic process stays in Python (it must replay the reference
-  backend's exact ``random.Random`` stream) and is flattened into
-  per-packet arrays over a *horizon* of pre-drawn cycles;
-- the C kernel simulates until it finishes or runs off the end of the
-  horizon, in which case it reports ``UNFINISHED`` and the driver
-  re-runs it from scratch over a longer horizon (the kernel is
-  deterministic and fast enough that a rare re-run is cheaper than
-  checkpointing state across the boundary);
-- the kernel returns the measured packets' ejection order, and Python
-  replays the latency/hop statistics in that order so the Welford mean
-  accumulates in exactly the reference sequence;
+- the kernel owns the traffic process: it carries a port of CPython's
+  MT19937 seeded from ``Random.getstate()`` of the generator
+  ``spec.traffic.build()`` returns, and draws each cycle's packets on
+  demand with exactly the calls ``TrafficGenerator.packets_for_cycle``
+  makes (one ``random()`` per endpoint, then ``randrange(k-1)`` -- or,
+  for hotspot traffic, ``random()`` followed by ``randrange`` -- for
+  random destinations; fixed permutations come precomputed from the
+  generator itself), so the packet stream is the reference stream bit
+  for bit and no cycle is ever drawn that the run does not simulate;
+- the kernel returns the latencies and hop counts of measured packets
+  in ejection order, and Python folds them through the same
+  ``RunningStats`` so the Welford mean accumulates in exactly the
+  reference sequence;
 - telemetry runs batch their per-interval activity capture inside the
-  kernel (sample cycle, flits in flight, per-router buffer occupancy and
-  cumulative ejections land in flat arrays, including back-filled rows
-  for fast-forwarded idle stretches), and the driver replays them as the
-  same spans, sample events and metrics the Python kernels emit --
-  cumulative per-router injection counts are reconstructed from the
-  pre-drawn packet columns, so the kernel never touches them;
+  kernel (sample cycle, flits in flight, per-router buffer occupancy
+  and cumulative injected and ejected flits land in flat arrays), and
+  the driver replays them as the same spans, sample events and metrics
+  the Python kernels emit;
 - fault schedules run as a *chain* of kernel segments, one per region
-  configuration: the kernel stops at the next fault boundary (reporting
-  per-packet progress), the driver replays the reference's teardown /
-  drop-and-retransmit policy in Python -- survivors become seed rows of
-  the next segment's packet columns, re-entering through the normal NI
-  path in pid order -- and the fault counters, activity folds and
-  telemetry accumulate across segments.  Gated runs are the one thing
-  this module never sees: the policy is an arbitrary Python object the
-  kernel cannot call back into every cycle, so they stay on the
-  pure-Python flat engine.
+  configuration (an unfaulted run is a chain of one): the kernel stops
+  at the next fault boundary and hands back its unejected packets in
+  pid order, the driver replays the reference's drop-and-retransmit
+  policy in Python, and the survivors re-enter the next segment through
+  the normal NI path ahead of that cycle's creations, keeping their
+  original creation cycles.  The MT state runs on across the chain, and
+  the kernel drops creations whose endpoint falls outside a degraded
+  region.  Gated runs are the one thing this module never sees: the
+  policy is an arbitrary Python object the kernel cannot call back into
+  every cycle, so they stay on the pure-Python flat engine.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
 import subprocess
 import tempfile
 import threading
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,9 +75,16 @@ from repro.util.stats import RunningStats, percentile
 # PORT_COUNT * vcs bits must fit (5 * 12 = 60)
 _MAX_VCS = 12
 
-_FLAG_UNFINISHED = 1  # simulation ran past the pre-drawn traffic horizon
-_FLAG_IDLE_BREAK = 2  # whole-mesh idle exit before the window closed
+# Nothing sets this any more: the kernel draws its own traffic, so there is
+# no pre-drawn horizon to run past.  perfbench/layers.py still tests out[1]
+# against it.
+_FLAG_UNFINISHED = 1
 _FLAG_BOUNDARY = 4  # stopped at a fault boundary (stop_cycle) for the driver
+
+# how the kernel picks a packet's destination endpoint
+_PATTERN_FIXED = 0    # a permutation table, precomputed from the generator
+_PATTERN_UNIFORM = 1  # randrange(k - 1), skipping the source
+_PATTERN_HOTSPOT = 2  # random() < fraction picks the hotspot, else uniform
 
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
@@ -82,25 +92,82 @@ _KERNEL_SOURCE = r"""
 #include <string.h>
 
 typedef long long i64;
+typedef uint32_t u32;
 
 #define NEVER (1LL << 60)
-#define FLAG_UNFINISHED 1
-#define FLAG_IDLE_BREAK 2
 #define FLAG_BOUNDARY 4
+#define PATTERN_FIXED 0
+#define PATTERN_HOTSPOT 2
+#define P_MEAS 1
+#define P_STARTED 2    /* >= 1 flit left the source NI */
+#define P_EJECTED 4
+
+/* CPython's MT19937 (Modules/_randommodule.c) word for word: `st` is
+ * Random.getstate()[1], the 624 state words followed by the position */
+static u32 mt_word(u32 *st)
+{
+    static const u32 mag01[2] = {0x0U, 0x9908b0dfU};
+    u32 y, i = st[624];
+    if (i >= 624) {
+        int kk;
+        for (kk = 0; kk < 624 - 397; kk++) {
+            y = (st[kk] & 0x80000000U) | (st[kk + 1] & 0x7fffffffU);
+            st[kk] = st[kk + 397] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        for (; kk < 623; kk++) {
+            y = (st[kk] & 0x80000000U) | (st[kk + 1] & 0x7fffffffU);
+            st[kk] = st[kk + (397 - 624)] ^ (y >> 1) ^ mag01[y & 1U];
+        }
+        y = (st[623] & 0x80000000U) | (st[0] & 0x7fffffffU);
+        st[623] = st[396] ^ (y >> 1) ^ mag01[y & 1U];
+        i = 0;
+    }
+    y = st[i];
+    st[624] = i + 1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= y >> 18;
+    return y;
+}
+
+/* Random.random(): genrand_res53 */
+static double mt_random(u32 *st)
+{
+    u32 a = mt_word(st) >> 5, b = mt_word(st) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* Random.randrange(n), 1 <= n < 2**32: _randbelow_with_getrandbits,
+ * rejection over getrandbits(n.bit_length()) */
+static i64 mt_below(u32 *st, i64 n)
+{
+    int shift = __builtin_clzll((unsigned long long)n) - 32;
+    u32 r;
+    do r = mt_word(st) >> shift; while (r >= n);
+    return r;
+}
+
+/* one packet row; rows are created in pid order */
+typedef struct {
+    i64 created;
+    int32_t src, dest, hops, next, flags;
+} pkt_t;
 
 /* One cycle-exact replica of the reference wormhole-VC pipeline over
- * flat arrays.  Every arbitration order (VC allocation request order,
- * free-VC assignment, both switch-allocation round-robins), every
- * pipeline delay (VA at arrival+2, head SA one cycle after VA, body SA
- * at arrival+1, credits at +1, links at +2) and the ejection sequence
- * match the Python kernels bit for bit.
+ * flat arrays, fed by the reference traffic process.  Every arbitration
+ * order (VC allocation request order, free-VC assignment, both
+ * switch-allocation round-robins), every pipeline delay (VA at
+ * arrival+2, head SA one cycle after VA, body SA at arrival+1, credits
+ * at +1, links at +2) and the ejection sequence match the Python
+ * kernels bit for bit.
  *
  * Fault schedules run as a chain of segments: each reconfiguration
  * tears the network down to fresh state anyway, so the driver invokes
  * the kernel once per region with `start_cycle` at the boundary,
- * `stop_cycle` at the next one, and the surviving packets spliced into
- * the packet columns at `start_cycle` (seed rows precede that cycle's
- * creations, preserving the reference's re-injection order). */
+ * `stop_cycle` at the next one, and the previous segment's survivors
+ * as seed rows (they re-enter ahead of that cycle's creations,
+ * preserving the reference's re-injection order). */
 i64 run_kernel(
     i64 count, i64 vcs, i64 depth, i64 mesh,
     const i64 *neighbor,   /* count*5 router indices, -1 when absent   */
@@ -108,30 +175,43 @@ i64 run_kernel(
                             * adaptive candidate pairs are packed as
                             * 8 | (c0 << 4) | (c1 << 8)                */
     const i64 *rev,        /* 5: reverse port map                      */
-    i64 n_pkts,
-    const i64 *p_cycle, const i64 *p_src, const i64 *p_dest,
-    const i64 *p_len, const i64 *p_meas,
-    i64 sched_upto,        /* cycles of traffic pre-drawn              */
-    i64 warmup, i64 measure_end, i64 deadline,
+    i64 n_ep,              /* traffic endpoints                        */
+    const i64 *ep_router,  /* n_ep: router index, -1 outside the region */
+    const i64 *ep_node,    /* n_ep: node id, the destination route key */
+    const i64 *perm,       /* n_ep: PATTERN_FIXED destination endpoint,
+                            * -1 when the endpoint sends nothing       */
+    i64 pattern,           /* PATTERN_FIXED, _UNIFORM or _HOTSPOT      */
+    i64 length,            /* flits per packet                         */
+    i64 hot,               /* hotspot endpoint index                   */
+    double prob,           /* packets per endpoint per cycle           */
+    double hot_frac,       /* hotspot fraction                         */
+    u32 *mt,               /* 625: MT19937 state, advanced in place    */
     i64 start_cycle,       /* first cycle (a fault-segment boundary)   */
     i64 stop_cycle,        /* break before this cycle, -1 for never    */
-    i64 *p_hops,           /* n_pkts, zero-initialised                 */
-    i64 *p_eject,          /* n_pkts, tail-ejection cycle or -1        */
-    i64 *p_started,        /* n_pkts: >=1 flit left the source NI      */
-    i64 *ej_order,         /* capacity n_pkts: measured ejection order */
+    i64 warmup, i64 measure_end, i64 deadline,
+    i64 n_seed,
+    const i64 *seeds,      /* n_seed*4: src router, dest node, created
+                            * cycle, measured -- in pid order          */
+    i64 *out,              /* 8 scalars, see driver                    */
+    i64 *survivors,        /* at a boundary, 5 per unejected row: src
+                            * router, dest, created, measured, started */
+    i64 *ej_lat,           /* measured ejections, in ejection order:  */
+    i64 *ej_hops,          /*   latency and hop count                  */
     i64 *counters,         /* count*4: writes, reads, links, va grants */
-    i64 *out,              /* 10 scalars, see driver                   */
     i64 interval,          /* telemetry sample period, 0 = no capture  */
     i64 s_cap,             /* capacity of the sample arrays            */
     i64 *s_cycle,          /* s_cap: sample instants                   */
     i64 *s_inflight,       /* s_cap: flits in flight at the instant    */
     i64 *s_occ,            /* s_cap*count: per-router buffered flits   */
     i64 *s_ej,             /* s_cap*count: cumulative ejected flits    */
-    i64 *ej_out)           /* count: final cumulative ejected flits    */
+    i64 *s_inj,            /* s_cap*count: cumulative injected flits   */
+    i64 *ej_out,           /* count: final cumulative ejected flits    */
+    i64 *inj_out)          /* count: final cumulative injected flits   */
 {
     i64 slots = 5 * vcs;
     i64 gslots = count * slots;
     i64 vmask = (1LL << vcs) - 1;
+    i64 status = 0;
 
     /* per-slot flit FIFOs as rings of capacity `depth` (credits bound
      * occupancy), plus flat allocation state */
@@ -151,11 +231,11 @@ i64 run_kernel(
     i64 *vap = calloc((size_t)count, sizeof(i64));
     i64 *buffered = calloc((size_t)count, sizeof(i64));
     i64 *ej_cum = calloc((size_t)count, sizeof(i64));
+    i64 *inj_cum = calloc((size_t)count, sizeof(i64));
     i64 *wake = calloc((size_t)count, sizeof(i64));
-    /* network interfaces: packet queues as linked lists over pnext */
+    /* network interfaces: packet queues as linked lists over the rows */
     i64 *qhead = malloc((size_t)count * sizeof(i64));
     i64 *qtail = malloc((size_t)count * sizeof(i64));
-    i64 *pnext = malloc((size_t)(n_pkts ? n_pkts : 1) * sizeof(i64));
     i64 *cur_pkt = malloc((size_t)count * sizeof(i64));
     i64 *cur_idx = calloc((size_t)count, sizeof(i64));
     i64 *cur_vc = calloc((size_t)count, sizeof(i64));
@@ -166,24 +246,46 @@ i64 run_kernel(
     i64 *aring = malloc((size_t)3 * ring_cap * 4 * sizeof(i64));
     i64 cring_n[2] = {0, 0};
     i64 aring_n[3] = {0, 0, 0};
+    /* the packet table, grown by doubling */
+    i64 rows_cap = n_seed + 1024, n_rows = 0;
+    pkt_t *rows = malloc((size_t)rows_cap * sizeof(pkt_t));
 
     if (!f_arr || !f_idx || !f_pkt || !rh || !fl || !vc_out || !vc_elig ||
         !owner || !credits || !va_ptr || !sa_in || !sa_out || !occ || !vap ||
-        !buffered || !ej_cum || !wake || !qhead || !qtail || !pnext ||
-        !cur_pkt || !cur_idx || !cur_vc || !ni_ptr || !cring || !aring) {
-        free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);
-        free(vc_out); free(vc_elig); free(owner); free(credits);
-        free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);
-        free(buffered); free(ej_cum); free(wake); free(qhead); free(qtail);
-        free(pnext); free(cur_pkt); free(cur_idx); free(cur_vc);
-        free(ni_ptr); free(cring); free(aring);
-        return 1;
+        !buffered || !ej_cum || !inj_cum || !wake || !qhead || !qtail ||
+        !cur_pkt || !cur_idx || !cur_vc || !ni_ptr || !cring || !aring ||
+        !rows) {
+        status = 1;
+        goto done;
     }
 
-/* one telemetry sample row: instant, in-flight count (this cycle's
- * creations are folded in by the driver), per-router buffer occupancy
- * and cumulative ejected flits -- captured before the cycle's event
- * deliveries, i.e. the state the previous cycle's step left behind */
+/* append a row and queue it at its source NI */
+#define ENQUEUE(src_, dest_, created_, meas_) do {                        \
+        if (n_rows == rows_cap) {                                         \
+            pkt_t *grown = realloc(rows, (size_t)rows_cap * 2             \
+                                             * sizeof(pkt_t));            \
+            if (!grown) { status = 1; goto done; }                        \
+            rows = grown;                                                 \
+            rows_cap *= 2;                                                \
+        }                                                                 \
+        pkt_t *row_ = rows + n_rows;                                      \
+        row_->created = (created_);                                       \
+        row_->src = (int32_t)(src_);                                      \
+        row_->dest = (int32_t)(dest_);                                    \
+        row_->hops = 0;                                                   \
+        row_->next = -1;                                                  \
+        row_->flags = (meas_) ? P_MEAS : 0;                               \
+        if (qtail[src_] < 0) qhead[src_] = n_rows;                        \
+        else rows[qtail[src_]].next = (int32_t)n_rows;                    \
+        qtail[src_] = n_rows;                                             \
+        n_rows++;                                                         \
+        in_flight += length;                                              \
+    } while (0)
+
+/* one telemetry sample row: instant, in-flight count, per-router buffer
+ * occupancy and cumulative ejected/injected flits -- captured after the
+ * cycle's creations and before its event deliveries, where the
+ * reference samples */
 #define CAPTURE(c_) do {                                                  \
         if (n_s < s_cap) {                                                \
             s_cycle[n_s] = (c_);                                          \
@@ -191,6 +293,8 @@ i64 run_kernel(
             memcpy(s_occ + n_s * count, buffered,                         \
                    (size_t)count * sizeof(i64));                          \
             memcpy(s_ej + n_s * count, ej_cum,                            \
+                   (size_t)count * sizeof(i64));                          \
+            memcpy(s_inj + n_s * count, inj_cum,                          \
                    (size_t)count * sizeof(i64));                          \
             n_s++;                                                        \
         }                                                                 \
@@ -208,48 +312,20 @@ i64 run_kernel(
     }
 
     i64 cycle = start_cycle, cycles_run = 0, flags = 0;
-    i64 in_flight = 0, events_pending = 0, p = 0;
-    i64 created_measured = 0, measured_ejected = 0, measured_flits = 0;
-    i64 n_ej = 0, n_s = 0;
-    i64 first_wu = -1, first_me = -1;
+    i64 in_flight = 0, events_pending = 0;
+    i64 outstanding = 0;  /* measured packets alive, seeds included */
+    i64 created_measured = 0, measured_flits = 0, dropped = 0;
+    i64 n_ej = 0, n_s = 0, n_sv = 0;
+
+    /* the previous segment's survivors re-enter first, in pid order */
+    for (i64 q = 0; q < n_seed; q++) {
+        const i64 *sd = seeds + q * 4;
+        ENQUEUE(sd[0], sd[1], sd[2], sd[3]);
+        if (sd[3]) outstanding++;
+    }
 
     for (;;) {
         if (cycle >= deadline) { cycles_run = deadline; break; }
-
-        /* the reference loop reaches a boundary cycle with the old
-         * segment's flits still in flight, so its idle check never
-         * fires there; a seeded segment starts with in_flight == 0
-         * (seeds enter through the packet columns below), so skip the
-         * idle check on the seeded first cycle to match */
-        if (!in_flight && !events_pending
-            && (start_cycle == 0 || cycle != start_cycle)) {
-            /* whole-mesh idle: jump to the next scheduled packet or the
-             * stop boundary, or exit the way the reference loop does
-             * when neither is due before the measurement window closes
-             * (a boundary beyond it stays unprocessed, exactly like the
-             * reference's); back-fill the sample instants the jump
-             * skips (all-idle rows) */
-            i64 nxt = (p < n_pkts && p_cycle[p] < measure_end)
-                          ? p_cycle[p] : -1;
-            if (nxt < 0 && (stop_cycle < 0 || stop_cycle > measure_end)) {
-                cycles_run = deadline > measure_end ? measure_end + 1
-                                                    : deadline;
-                flags |= FLAG_IDLE_BREAK;
-                if (interval) {
-                    i64 c = (cycle + interval - 1) / interval * interval;
-                    for (; c < cycles_run; c += interval) CAPTURE(c);
-                }
-                break;
-            }
-            i64 tgt = nxt;
-            if (nxt < 0 || (stop_cycle >= 0 && stop_cycle < nxt))
-                tgt = stop_cycle;
-            if (interval) {
-                i64 c = (cycle + interval - 1) / interval * interval;
-                for (; c < tgt; c += interval) CAPTURE(c);
-            }
-            cycle = tgt;
-        }
 
         /* fault boundary: hand control back to the driver, which
          * rebuilds the region and re-seeds the survivors (deadline
@@ -260,14 +336,40 @@ i64 run_kernel(
             break;
         }
 
-        if (cycle >= sched_upto) { flags |= FLAG_UNFINISHED; break; }
-
-        /* first *visited* cycles past the phase thresholds -- the
-         * driver replays the reference's phase-span transitions there */
-        if (first_wu < 0 && cycle >= warmup) first_wu = cycle;
-        if (first_me < 0 && cycle >= measure_end) first_me = cycle;
+        /* this cycle's creations: TrafficGenerator.packets_for_cycle */
+        {
+            int meas = warmup <= cycle && cycle < measure_end;
+            for (i64 e = 0; e < n_ep; e++) {
+                if (mt_random(mt) >= prob) continue;
+                i64 j;
+                if (pattern == PATTERN_FIXED) {
+                    j = perm[e];
+                    if (j < 0) continue;
+                } else if (pattern == PATTERN_HOTSPOT
+                           && mt_random(mt) < hot_frac && hot != e) {
+                    j = hot;
+                } else {
+                    if (n_ep < 2) continue;
+                    j = mt_below(mt, n_ep - 1);
+                    if (j >= e) j++;
+                }
+                i64 src = ep_router[e];
+                if (src < 0 || ep_router[j] < 0) {
+                    /* an endpoint outside the degraded region: lost at
+                     * the NI before it is ever created */
+                    dropped++;
+                    continue;
+                }
+                ENQUEUE(src, ep_node[j], cycle, meas);
+                inj_cum[src] += length;
+                if (meas) { created_measured++; outstanding++; }
+            }
+        }
 
         if (interval && cycle % interval == 0) CAPTURE(cycle);
+
+        /* a whole-mesh idle cycle steps nothing */
+        if (!in_flight && !events_pending) goto next_cycle;
 
         int win = warmup <= cycle && cycle < measure_end;
 
@@ -307,17 +409,6 @@ i64 run_kernel(
             events_pending -= n;
         }
 
-        /* new packets enter their source NI queues */
-        while (p < n_pkts && p_cycle[p] == cycle) {
-            i64 i = p_src[p];
-            pnext[p] = -1;
-            if (qtail[i] < 0) qhead[i] = p; else pnext[qtail[i]] = p;
-            qtail[i] = p;
-            in_flight += p_len[p];
-            if (p_meas[p]) created_measured++;
-            p++;
-        }
-
         /* NI injection: one flit per node per cycle into a claimed VC */
         for (i64 i = 0; i < count; i++) {
             i64 cp = cur_pkt[i];
@@ -334,7 +425,7 @@ i64 run_kernel(
                 ni_ptr[i] = chosen + 1 < vcs ? chosen + 1 : 0;
                 cp = qhead[i];
                 cur_pkt[i] = cp; cur_idx[i] = 0; cur_vc[i] = chosen;
-                qhead[i] = pnext[cp];
+                qhead[i] = rows[cp].next;
                 if (qhead[i] < 0) qtail[i] = -1;
             }
             i64 v = cur_vc[i], g = i * slots + v;
@@ -350,9 +441,9 @@ i64 run_kernel(
             if (vc_out[g] < 0) vap[i] |= 1LL << v;
             wake[i] = cycle;
             if (win) counters[i * 4]++;
-            p_started[cp] = 1;  /* past the NI: a fault would retransmit */
+            rows[cp].flags |= P_STARTED;  /* a fault would retransmit */
             cur_idx[i]++;
-            if (cur_idx[i] >= p_len[cp]) cur_pkt[i] = -1;
+            if (cur_idx[i] >= length) cur_pkt[i] = -1;
         }
 
         /* per-router VC allocation + switch allocation + traversal */
@@ -380,7 +471,7 @@ i64 run_kernel(
                         if (ready < min_wait) min_wait = ready;
                         continue;
                     }
-                    i64 out_p = route_i[p_dest[f_pkt[fpos]]];
+                    i64 out_p = route_i[rows[f_pkt[fpos]].dest];
                     if (out_p >= 8) {
                         /* packed adaptive candidate pair: prefer a free
                          * out-VC, then most downstream credits; strict
@@ -519,6 +610,7 @@ i64 run_kernel(
                 i64 g = base_g + s;
                 i64 fpos = g * depth + rh[g];
                 i64 fi = f_idx[fpos], pk = f_pkt[fpos];
+                pkt_t *row = rows + pk;
                 fl[g]--;
                 if (fl[g] == 0) {
                     rh[g] = 0;
@@ -529,7 +621,7 @@ i64 run_kernel(
                 buffered[i]--;
                 credits[base_g + os]--;
                 if (win) counters[i * 4 + 1]++;
-                int is_tail = fi == p_len[pk] - 1;
+                int is_tail = fi == length - 1;
                 if (in_p) {  /* return a credit upstream at +1 */
                     i64 up = neighbor[i * 5 + in_p];
                     i64 slot_up = rev[in_p] * vcs + v;
@@ -547,17 +639,19 @@ i64 run_kernel(
                 if (os < vcs) {  /* LOCAL output: ejection */
                     in_flight--;
                     if (is_tail) {
-                        ej_cum[i] += p_len[pk];
-                        p_eject[pk] = cycle + 2;
-                        if (p_meas[pk]) {
-                            measured_ejected++;
-                            measured_flits += p_len[pk];
-                            ej_order[n_ej++] = pk;
+                        ej_cum[i] += length;
+                        row->flags |= P_EJECTED;
+                        if (row->flags & P_MEAS) {
+                            outstanding--;
+                            measured_flits += length;
+                            ej_lat[n_ej] = cycle + 2 - row->created;
+                            ej_hops[n_ej] = row->hops;
+                            n_ej++;
                         }
                     }
                 } else {         /* link traversal, arrival at +2 */
                     if (win) counters[i * 4 + 2]++;
-                    if (fi == 0) p_hops[pk]++;
+                    if (fi == 0) row->hops++;
                     i64 out_p = os / vcs;
                     i64 down = neighbor[i * 5 + out_p];
                     i64 slot_down = rev[out_p] * vcs + (os - out_p * vcs);
@@ -573,10 +667,24 @@ i64 run_kernel(
             wake[i] = cycle + 1;
         }
 
+    next_cycle:
         cycle++;
-        if (cycle > measure_end && measured_ejected >= created_measured) {
+        if (cycle > measure_end && !outstanding) {
             cycles_run = cycle;
             break;
+        }
+    }
+
+    /* a stopped segment's survivors: its unejected rows, in pid order */
+    if (flags & FLAG_BOUNDARY) {
+        for (i64 r = 0; r < n_rows; r++) {
+            const pkt_t *row = rows + r;
+            if (row->flags & P_EJECTED) continue;
+            i64 *sv = survivors + n_sv * 5;
+            sv[0] = row->src; sv[1] = row->dest; sv[2] = row->created;
+            sv[3] = row->flags & P_MEAS ? 1 : 0;
+            sv[4] = row->flags & P_STARTED ? 1 : 0;
+            n_sv++;
         }
     }
 
@@ -584,23 +692,27 @@ i64 run_kernel(
     out[1] = flags;
     out[2] = n_ej;
     out[3] = created_measured;
-    out[4] = measured_ejected;
-    out[5] = measured_flits;
+    out[4] = measured_flits;
+    out[5] = dropped;
     out[6] = n_s;
-    out[7] = first_wu;
-    out[8] = first_me;
+    out[7] = n_sv;
     memcpy(ej_out, ej_cum, (size_t)count * sizeof(i64));
+    memcpy(inj_out, inj_cum, (size_t)count * sizeof(i64));
 
+done:
     free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);
     free(vc_out); free(vc_elig); free(owner); free(credits);
     free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);
-    free(buffered); free(ej_cum); free(wake); free(qhead); free(qtail);
-    free(pnext); free(cur_pkt); free(cur_idx); free(cur_vc); free(ni_ptr);
-    free(cring); free(aring);
-    return 0;
+    free(buffered); free(ej_cum); free(inj_cum); free(wake); free(qhead);
+    free(qtail); free(cur_pkt); free(cur_idx); free(cur_vc); free(ni_ptr);
+    free(cring); free(aring); free(rows);
+    return status;
 }
+#undef ENQUEUE
 #undef CAPTURE
 """
+
+_OUT_LEN = 8  # scalars the kernel writes to `out`
 
 _lock = threading.Lock()
 _lib = None
@@ -637,20 +749,25 @@ def _build() -> ctypes.CDLL:
         finally:
             shutil.rmtree(workdir, ignore_errors=True)
     lib = ctypes.CDLL(cached)
-    ptr = ctypes.POINTER(ctypes.c_longlong)
+    # arrays pass straight through, checked for dtype and contiguity
+    ptr = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
+    words = np.ctypeslib.ndpointer(dtype=np.uint32, flags="C_CONTIGUOUS")
     c64 = ctypes.c_longlong
+    f64 = ctypes.c_double
     lib.run_kernel.restype = c64
     lib.run_kernel.argtypes = [
         c64, c64, c64, c64,          # count, vcs, depth, mesh
         ptr, ptr, ptr,               # neighbor, route, rev
-        c64,                         # n_pkts
-        ptr, ptr, ptr, ptr, ptr,     # p_cycle, p_src, p_dest, p_len, p_meas
-        c64, c64, c64, c64,          # sched_upto, warmup, measure_end, deadline
+        c64, ptr, ptr, ptr,          # n_ep, ep_router, ep_node, perm
+        c64, c64, c64,               # pattern, length, hot
+        f64, f64, words,             # prob, hot_frac, mt
         c64, c64,                    # start_cycle, stop_cycle
-        ptr, ptr, ptr, ptr,          # p_hops, p_eject, p_started, ej_order
-        ptr, ptr,                    # counters, out
+        c64, c64, c64,               # warmup, measure_end, deadline
+        c64, ptr,                    # n_seed, seeds
+        ptr, ptr, ptr, ptr, ptr,     # out, survivors, ej_lat, ej_hops, counters
         c64, c64,                    # interval, s_cap
-        ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, ej_out
+        ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, s_inj
+        ptr, ptr,                    # ej_out, inj_out
     ]
     return lib
 
@@ -680,10 +797,17 @@ def available() -> bool:
     return _load() is not None
 
 
-def _as_ptr(array: np.ndarray):
-    return array.ctypes.data_as(ctypes.POINTER(ctypes.c_longlong))
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
+_REV = _frozen(np.array(
+    [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
+))
+
+
+@functools.lru_cache(maxsize=64)
 def _region_arrays(topology, routing):
     """Flattened routing/neighbor tables for one region, kernel-ready.
 
@@ -691,10 +815,13 @@ def _region_arrays(topology, routing):
     ``router_index * mesh_size + dest_node`` to an output port (adaptive
     candidate pairs packed as ``8 | (c0 << 4) | (c1 << 8)``) and
     ``neighbor`` maps ``router_index * 5 + port`` to the neighboring
-    router index (-1 when unconnected)."""
+    router index (-1 when unconnected).  Memoized per ``(topology,
+    routing)`` -- a grid revisits a handful of regions -- so every
+    caller shares the result, which is read-only throughout.
+    """
     from repro.noc.routing import build_table
 
-    nodes = list(topology.active_nodes)
+    nodes = tuple(topology.active_nodes)
     count = len(nodes)
     index_of = {node: i for i, node in enumerate(nodes)}
     mesh_size = topology.width * topology.height
@@ -712,112 +839,51 @@ def _region_arrays(topology, routing):
             other = topology.neighbor(node, PORT_TO_DIRECTION[port])
             if other is not None and other in index_of:
                 neighbor[i * PORT_COUNT + port] = index_of[other]
-    return nodes, index_of, route, neighbor
+    return nodes, MappingProxyType(index_of), _frozen(route), _frozen(neighbor)
 
 
-def _emit_run_telemetry(
-    tel, spec, traffic, nodes, packet_cols, cycles_run, flags, saturated,
-    created_measured, measured_ejected, measured_flits,
-    n_s, s_cycle, s_inflight, s_occ, s_ej, ej_out,
-) -> None:
-    """Replay one kernel run's batched activity capture as telemetry.
+def _traffic_inputs(traffic):
+    """``(pattern, perm, hot)`` telling the kernel how to pick destinations.
 
-    Reconstructs what the Python kernels emit live: the simulate/phase
-    span tree, one sample event per captured instant, and the end-of-run
-    metrics fold.  Per-router cumulative injection counts (and the
-    in-flight contribution of packets created *at* a sample instant,
-    which the kernel's capture point precedes) are rebuilt from the
-    pre-drawn packet columns; occupancies and ejections come from the
-    kernel's capture arrays.
+    Permutation patterns consume no randomness, so their per-endpoint
+    destination comes straight from the generator (``perm[e]`` is the
+    destination endpoint index, -1 when the endpoint sends nothing);
+    uniform and hotspot destinations are drawn in the kernel.
     """
-    from repro.noc.backends.reference import _record_sim_metrics
-    from repro.noc.backends.vectorized import _emit_flat_sample
-
-    warmup = spec.warmup_cycles
-    measure_end = warmup + spec.measure_cycles
-    count = len(nodes)
-    p_cycle, p_src, p_len = packet_cols
-    n_pkts = len(p_cycle)
-
-    tracer = tel.tracer
-    sim_span = tracer.span(
-        "simulate",
-        level=spec.topology.level,
-        routing=spec.routing,
-        rate=round(traffic.injection_rate, 6),
+    index = traffic._index
+    pattern = {"uniform": _PATTERN_UNIFORM, "hotspot": _PATTERN_HOTSPOT}.get(
+        traffic.pattern, _PATTERN_FIXED
     )
-    phase_span = tracer.span("phase:warmup", parent=sim_span.id)
-    # phase boundaries the run actually crossed (an idle exit walks the
-    # remaining ones to measure_end, exactly like the reference loop)
-    if flags & _FLAG_IDLE_BREAK or cycles_run > warmup:
-        phase_span.annotate(end_cycle=warmup)
-        phase_span.end()
-        phase_span = tracer.span(
-            "phase:measure", parent=sim_span.id, start_cycle=warmup
-        )
-    if cycles_run > measure_end:
-        phase_span.annotate(end_cycle=measure_end)
-        phase_span.end()
-        phase_span = tracer.span(
-            "phase:drain", parent=sim_span.id, start_cycle=measure_end
-        )
-
-    inj: dict[int, int] = {}
-    ptr = 0
-    for k in range(n_s):
-        c = int(s_cycle[k])
-        flits_now = 0
-        while ptr < n_pkts and p_cycle[ptr] <= c:
-            node = nodes[p_src[ptr]]
-            length = p_len[ptr]
-            inj[node] = inj.get(node, 0) + length
-            if p_cycle[ptr] == c:
-                flits_now += length
-            ptr += 1
-        base = k * count
-        occ_row = [int(x) for x in s_occ[base:base + count]]
-        ej_row = s_ej[base:base + count]
-        ej_map = {nodes[i]: int(ej_row[i]) for i in range(count)}
-        _emit_flat_sample(
-            tel, sim_span.id, c, nodes, occ_row,
-            int(s_inflight[k]) + flits_now, inj, ej_map,
-        )
-    while ptr < n_pkts and p_cycle[ptr] < cycles_run:
-        inj[nodes[p_src[ptr]]] = inj.get(nodes[p_src[ptr]], 0) + p_len[ptr]
-        ptr += 1
-
-    ej_final = {nodes[i]: int(ej_out[i]) for i in range(count) if ej_out[i]}
-    _record_sim_metrics(
-        tel, cycles_run, created_measured,
-        {"measured": measured_ejected, "measured_flits": measured_flits},
-        {"dropped": 0, "retransmitted": 0, "reconfigurations": 0},
-        saturated, inj, ej_final, {},
-    )
-    phase_span.annotate(end_cycle=cycles_run)
-    phase_span.end()
-    sim_span.annotate(
-        cycles=cycles_run,
-        packets=created_measured,
-        saturated=saturated,
-        reconfigurations=0,
-    )
-    sim_span.end()
+    perm = np.full(len(traffic.endpoints), -1, dtype=np.int64)
+    if pattern == _PATTERN_FIXED:
+        for e, node in enumerate(traffic.endpoints):
+            dest = traffic._destination(node)
+            if dest is not None:
+                perm[e] = index[dest]
+    return pattern, perm, index[traffic.hotspot_endpoint]
 
 
 def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     """Run ``spec`` on the compiled kernel; None means "use the fallback".
 
     Returns None -- meaning "run the pure-Python flat engine instead" --
-    when the kernel is unavailable or when the configuration exceeds its
-    fixed-width state (more than ``_MAX_VCS`` virtual channels).  Fault
-    schedules run as a chain of kernel segments, one per reconfigured
-    region, with the Python side replaying the reference's boundary
-    policy (drop-and-retransmit) between invocations.  Gated runs never
-    reach this function (the policy is a Python object the kernel cannot
-    call back into every cycle).  With active telemetry the kernel
-    batches per-interval activity captures and the driver replays them
-    as the spans, samples and metrics the Python kernels emit.
+    when the kernel is unavailable, when the configuration exceeds its
+    fixed-width state (more than ``_MAX_VCS`` virtual channels), or when
+    the endpoint list repeats a node (the kernel indexes endpoints by
+    position).  A run is a chain of fresh-network kernel segments, one
+    per region configuration: a fault boundary in the reference engine
+    tears the network down and rebuilds it on the reconfigured region,
+    re-injecting every surviving packet through the normal NI path, so
+    the only state that crosses a boundary is the survivor list, the
+    MT19937 state, the fault counters and the cumulative telemetry.
+    Between segments the driver replays the reference's
+    drop-and-retransmit policy.  Gated runs never reach this function
+    (the policy is a Python object the kernel cannot call back into
+    every cycle).  With active telemetry the kernel batches
+    per-interval activity captures and the driver replays them as the
+    spans, samples and metrics the Python kernels emit.
     """
+    from repro.core.faults import reconfigured_topology
     from repro.telemetry import active as _active_telemetry
 
     cfg = spec.config
@@ -827,197 +893,36 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     lib = _load()
     if lib is None:
         return None
+    traffic = spec.traffic.build()
+    endpoints = traffic.endpoints
+    n_ep = len(endpoints)
+    if len(traffic._index) != n_ep:
+        return None
     tel = _active_telemetry(telemetry)
     interval = tel.sample_interval if tel is not None else 0
-    if spec.faults:
-        return _execute_faulted(spec, lib, tel, interval)
 
-    from repro.noc.backends.vectorized import _PacketSchedule
-
-    topology = spec.topology
-    depth = cfg.buffers_per_vc
-    count = len(topology.active_nodes)
-    mesh_size = topology.width * topology.height
-    nodes, index_of, route, neighbor = _region_arrays(topology, spec.routing)
-    rev = np.array(
-        [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
-    )
-
-    warmup = spec.warmup_cycles
-    measure_cycles = spec.measure_cycles
-    measure_end = warmup + measure_cycles
-    deadline = measure_end + spec.drain_cycles
-
-    traffic = spec.traffic.build()
-    schedule = _PacketSchedule(traffic, warmup, measure_end)
-
-    # flatten the pre-drawn traffic into per-packet columns; grown (never
-    # redrawn -- the RNG stream must stay continuous) when the kernel
-    # outruns the horizon
-    p_cycle: list[int] = []
-    p_src: list[int] = []
-    p_dest: list[int] = []
-    p_len: list[int] = []
-    p_meas: list[int] = []
-    horizon = 0
-
-    def extend_to(limit: int) -> None:
-        nonlocal horizon
-        for c in range(horizon, limit):
-            for packet in schedule.take(c):
-                p_cycle.append(c)
-                p_src.append(index_of[packet.source])
-                p_dest.append(packet.destination)
-                p_len.append(packet.length)
-                p_meas.append(1 if packet.measured else 0)
-        horizon = limit
-
-    # most runs drain within a few hundred cycles of the window closing;
-    # only saturated runs walk the horizon out toward the full deadline
-    extend_to(min(deadline, measure_end + 1 + min(spec.drain_cycles, 2048)))
-
-    s_cap = deadline // interval + 2 if interval else 1
-    while True:
-        n_pkts = len(p_cycle)
-        cols = [
-            np.array(col, dtype=np.int64) if col else np.zeros(1, dtype=np.int64)
-            for col in (p_cycle, p_src, p_dest, p_len, p_meas)
-        ]
-        p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
-        p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        ej_order = np.zeros(max(n_pkts, 1), dtype=np.int64)
-        counters = np.zeros(count * 4, dtype=np.int64)
-        out = np.zeros(10, dtype=np.int64)
-        s_cycle = np.zeros(s_cap, dtype=np.int64)
-        s_inflight = np.zeros(s_cap, dtype=np.int64)
-        s_occ = np.zeros(s_cap * count, dtype=np.int64)
-        s_ej = np.zeros(s_cap * count, dtype=np.int64)
-        ej_out = np.zeros(max(count, 1), dtype=np.int64)
-        status = lib.run_kernel(
-            count, vcs, depth, mesh_size,
-            _as_ptr(neighbor), _as_ptr(route), _as_ptr(rev),
-            n_pkts,
-            *(_as_ptr(col) for col in cols),
-            horizon, warmup, measure_end, deadline,
-            0, -1,  # start at cycle 0, no fault boundary to stop at
-            _as_ptr(p_hops), _as_ptr(p_eject), _as_ptr(p_started),
-            _as_ptr(ej_order), _as_ptr(counters), _as_ptr(out),
-            interval, s_cap,
-            _as_ptr(s_cycle), _as_ptr(s_inflight), _as_ptr(s_occ),
-            _as_ptr(s_ej), _as_ptr(ej_out),
-        )
-        if status != 0:
-            return None
-        if not out[1] & _FLAG_UNFINISHED:
-            break
-        extend_to(min(deadline, max(horizon * 4, horizon + 1)))
-
-    cycles_run = int(out[0])
-    n_ej = int(out[2])
-    created_measured = int(out[3])
-    measured_ejected = int(out[4])
-    measured_flits = int(out[5])
-    p_cycle_arr = cols[0]
-
-    latency = RunningStats()
-    hops_stats = RunningStats()
-    latencies: list[int] = []
-    for k in range(n_ej):
-        pk = int(ej_order[k])
-        lat = int(p_eject[pk]) - int(p_cycle_arr[pk])
-        latency.add(lat)
-        latencies.append(lat)
-        hops_stats.add(int(p_hops[pk]))
-
-    saturated = measured_ejected < created_measured
-    endpoints = len(traffic.endpoints)
-
-    if tel is not None:
-        _emit_run_telemetry(
-            tel, spec, traffic, nodes,
-            (p_cycle, p_src, p_len),
-            cycles_run, int(out[1]), saturated,
-            created_measured, measured_ejected, measured_flits,
-            int(out[6]), s_cycle, s_inflight, s_occ, s_ej, ej_out,
-        )
-
-    activity = NetworkActivity()
-    for i, node in enumerate(nodes):
-        router_activity = activity.router(node)
-        router_activity.buffer_writes = int(counters[i * 4])
-        router_activity.buffer_reads = int(counters[i * 4 + 1])
-        router_activity.crossbar_traversals = int(counters[i * 4 + 1])
-        router_activity.switch_arbitrations = int(counters[i * 4 + 1])
-        router_activity.link_traversals = int(counters[i * 4 + 2])
-        router_activity.vc_allocations = int(counters[i * 4 + 3])
-        router_activity.cycles_powered = measure_cycles
-
-    return SimulationResult(
-        avg_latency=latency.mean if latency.count else 0.0,
-        avg_hops=hops_stats.mean if hops_stats.count else 0.0,
-        max_latency=int(latency.maximum) if latency.count else 0,
-        p50_latency=percentile(latencies, 50) if latencies else 0.0,
-        p95_latency=percentile(latencies, 95) if latencies else 0.0,
-        p99_latency=percentile(latencies, 99) if latencies else 0.0,
-        packets_measured=created_measured,
-        packets_ejected=measured_ejected,
-        offered_flits_per_cycle=traffic.injection_rate,
-        accepted_flits_per_cycle=(
-            measured_flits / (measure_cycles * endpoints)
-            if measure_cycles and endpoints
-            else 0.0
-        ),
-        saturated=saturated,
-        cycles_run=cycles_run,
-        measure_cycles=measure_cycles,
-        activity=activity,
-        endpoint_count=endpoints,
-    )
-
-
-def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
-    """Run a faulted spec as a chain of fresh-network kernel segments.
-
-    A fault boundary in the reference engine tears the network down and
-    rebuilds it from scratch on the reconfigured region, re-injecting
-    every surviving packet through the normal NI path -- so the only
-    state that crosses a boundary is the survivor list, the fault
-    counters and the cumulative telemetry.  Each segment is therefore an
-    ordinary kernel run: it starts at the boundary with the survivors
-    spliced into the packet columns (in pid order, ahead of that cycle's
-    creations, exactly the reference's re-injection order) and stops at
-    the next boundary, where the driver replays the reference's
-    drop-and-retransmit policy before launching the next segment.
-    """
-    from repro.core.faults import reconfigured_topology
-    from repro.noc.backends.vectorized import _PacketSchedule
-
-    cfg = spec.config
-    vcs = cfg.vcs_per_port
     depth = cfg.buffers_per_vc
     planned = spec.topology
     faults = spec.faults
+    boundaries = faults.boundaries() if faults else []
     mesh_size = planned.width * planned.height
-
     warmup = spec.warmup_cycles
     measure_cycles = spec.measure_cycles
     measure_end = warmup + measure_cycles
     deadline = measure_end + spec.drain_cycles
+    length = traffic.packet_length
+    prob = traffic.injection_rate / length
 
-    traffic = spec.traffic.build()
-    schedule = _PacketSchedule(traffic, warmup, measure_end)
-    boundaries = faults.boundaries()
-    rev = np.array(
-        [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
-    )
+    pattern, perm, hot = _traffic_inputs(traffic)
+    mt = np.array(traffic._rng.getstate()[1], dtype=np.uint32)
+    ep_node = np.array(endpoints, dtype=np.int64)
     s_cap = deadline // interval + 2 if interval else 1
 
     counters = {
         "dropped": 0, "retransmitted": 0, "rerouted": 0,
         "lost_measured": 0, "reconfigurations": 0,
     }
-    min_level = planned.level
+    min_level = planned.level if boundaries else 0
     created_measured = measured_ejected = measured_flits = 0
     latency = RunningStats()
     hops_stats = RunningStats()
@@ -1027,175 +932,110 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     reconf_events: list[tuple[int, int]] = []  # (boundary cycle, new level)
 
     region, routing = planned, spec.routing
-    degraded = False
-    seg_start, next_b = 0, 0
-    seeds: list[tuple] = []  # (Packet, started) in pid order
-    cycles_run = 0
-    idle_break = False
-    # first *visited* cycle at/past each phase threshold, reference-true:
-    # the reference lands on every busy cycle, including ones whose whole
-    # creation batch is dropped -- invisible to the kernel, so they merge
-    # in from the driver-side drop list
-    first_wu = first_me = -1
-
-    def _merge_first(cur: int, cand: int) -> int:
-        return cand if cur < 0 or 0 <= cand < cur else cur
-
+    seed_rows: list[tuple] = []  # (src node, dest, created, measured), pid order
+    seg_start = 0
     while True:
-        stop = boundaries[next_b] if next_b < len(boundaries) else -1
+        stop = (
+            boundaries[len(reconf_events)]
+            if len(reconf_events) < len(boundaries) else -1
+        )
         nodes, index_of, route, neighbor = _region_arrays(region, routing)
         count = len(nodes)
-        for node in nodes:
-            activity.router(node)
-
-        # traffic horizon for this segment: a stopped segment needs
-        # exactly [seg_start, stop); a final one starts modest and grows
-        # on UNFINISHED like the unfaulted driver
-        if stop >= 0:
-            limit = stop
-        else:
-            limit = min(
-                deadline,
-                max(measure_end + 1, seg_start + 1)
-                + min(spec.drain_cycles, 2048),
-            )
-        while True:
-            seg_pkts = [pkt for pkt, _ in seeds]
-            p_cycle = [seg_start] * len(seeds)
-            p_src = [index_of[pkt.source] for pkt, _ in seeds]
-            p_dest = [pkt.destination for pkt, _ in seeds]
-            p_len = [pkt.length for pkt, _ in seeds]
-            p_meas = [1 if pkt.measured else 0 for pkt, _ in seeds]
-            n_seed = len(seeds)
-            drop_cycles: list[int] = []  # creation-time drops, per cycle
-            for c in range(seg_start, limit):
-                for packet in schedule.take(c):
-                    if degraded and (
-                        packet.source not in index_of
-                        or packet.destination not in index_of
-                    ):
-                        drop_cycles.append(c)
-                        continue
-                    seg_pkts.append(packet)
-                    p_cycle.append(c)
-                    p_src.append(index_of[packet.source])
-                    p_dest.append(packet.destination)
-                    p_len.append(packet.length)
-                    p_meas.append(1 if packet.measured else 0)
-            n_pkts = len(seg_pkts)
-            cols = [
-                np.array(col, dtype=np.int64) if col else np.zeros(1, dtype=np.int64)
-                for col in (p_cycle, p_src, p_dest, p_len, p_meas)
-            ]
-            p_hops = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            p_eject = np.full(max(n_pkts, 1), -1, dtype=np.int64)
-            p_started = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            ej_order = np.zeros(max(n_pkts, 1), dtype=np.int64)
-            kcounters = np.zeros(count * 4, dtype=np.int64)
-            out = np.zeros(10, dtype=np.int64)
-            s_cycle = np.zeros(s_cap, dtype=np.int64)
-            s_inflight = np.zeros(s_cap, dtype=np.int64)
-            s_occ = np.zeros(s_cap * count, dtype=np.int64)
-            s_ej = np.zeros(s_cap * count, dtype=np.int64)
-            ej_out = np.zeros(max(count, 1), dtype=np.int64)
-            status = lib.run_kernel(
-                count, vcs, depth, mesh_size,
-                _as_ptr(neighbor), _as_ptr(route), _as_ptr(rev),
-                n_pkts,
-                *(_as_ptr(col) for col in cols),
-                limit, warmup, measure_end, deadline,
-                seg_start, stop,
-                _as_ptr(p_hops), _as_ptr(p_eject), _as_ptr(p_started),
-                _as_ptr(ej_order), _as_ptr(kcounters), _as_ptr(out),
-                interval, s_cap,
-                _as_ptr(s_cycle), _as_ptr(s_inflight), _as_ptr(s_occ),
-                _as_ptr(s_ej), _as_ptr(ej_out),
-            )
-            if status != 0:
-                return None  # nothing emitted yet; fall back cleanly
-            flags = int(out[1])
-            if flags & _FLAG_UNFINISHED:
-                limit = min(deadline, max(limit * 4, limit + 1))
-                continue
-            break
+        ep_router = np.array(
+            [index_of.get(node, -1) for node in endpoints], dtype=np.int64
+        )
+        n_seed = len(seed_rows)
+        seeds = np.array(
+            [(index_of[src], dest, created, meas)
+             for src, dest, created, meas in seed_rows] or [(0, 0, 0, 0)],
+            dtype=np.int64,
+        )
+        # creations happen only on the segment's own cycles, so these
+        # bound the rows a stopped segment leaves unejected and the
+        # measured packets any segment can eject
+        end = stop if stop >= 0 else deadline
+        sv_cap = n_seed + n_ep * (end - seg_start) if stop >= 0 else 0
+        ej_cap = n_seed + n_ep * max(
+            0, min(measure_end, end) - max(warmup, seg_start)
+        )
+        out = np.zeros(_OUT_LEN, dtype=np.int64)
+        survivors = np.empty(max(sv_cap, 1) * 5, dtype=np.int64)
+        ej_lat = np.empty(max(ej_cap, 1), dtype=np.int64)
+        ej_hops = np.empty(max(ej_cap, 1), dtype=np.int64)
+        kcounters = np.zeros(count * 4, dtype=np.int64)
+        s_cycle = np.empty(s_cap, dtype=np.int64)
+        s_inflight = np.empty(s_cap, dtype=np.int64)
+        s_occ = np.empty(s_cap * count, dtype=np.int64)
+        s_ej = np.empty(s_cap * count, dtype=np.int64)
+        s_inj = np.empty(s_cap * count, dtype=np.int64)
+        ej_out = np.empty(count, dtype=np.int64)
+        inj_out = np.empty(count, dtype=np.int64)
+        status = lib.run_kernel(
+            count, vcs, depth, mesh_size, neighbor, route, _REV,
+            n_ep, ep_router, ep_node, perm,
+            pattern, length, hot, prob, traffic.hotspot_fraction, mt,
+            seg_start, stop, warmup, measure_end, deadline, n_seed, seeds,
+            out, survivors, ej_lat, ej_hops, kcounters, interval, s_cap,
+            s_cycle, s_inflight, s_occ, s_ej, s_inj, ej_out, inj_out,
+        )
+        if status != 0:
+            return None  # nothing emitted yet; fall back cleanly
+        (seg_cycles, flags, n_ej, seg_created, seg_flits, seg_dropped,
+         n_s, n_sv) = out.tolist()
 
         # fold this segment's activity and (analytic) powered cycles
-        for i, node in enumerate(nodes):
-            ra = activity.router(node)
-            ra.buffer_writes += int(kcounters[i * 4])
-            ra.buffer_reads += int(kcounters[i * 4 + 1])
-            ra.crossbar_traversals += int(kcounters[i * 4 + 1])
-            ra.switch_arbitrations += int(kcounters[i * 4 + 1])
-            ra.link_traversals += int(kcounters[i * 4 + 2])
-            ra.vc_allocations += int(kcounters[i * 4 + 3])
         stopped = bool(flags & _FLAG_BOUNDARY)
         span = (min(stop, measure_end) if stopped else measure_end) - max(
             seg_start, warmup
         )
-        if span > 0:
-            for node in nodes:
-                activity.router(node).cycles_powered += span
+        per_router = kcounters.tolist()
+        for i, node in enumerate(nodes):
+            writes, reads, links, grants = per_router[i * 4:i * 4 + 4]
+            ra = activity.router(node)
+            ra.buffer_writes += writes
+            ra.buffer_reads += reads
+            ra.crossbar_traversals += reads
+            ra.switch_arbitrations += reads
+            ra.link_traversals += links
+            ra.vc_allocations += grants
+            if span > 0:
+                ra.cycles_powered += span
 
-        # global tallies: the kernel re-counts re-injected seeds in its
-        # created_measured (they enter through the normal NI path), the
-        # driver nets them back out
-        created_measured += int(out[3]) - sum(
-            1 for pkt, _ in seeds if pkt.measured
-        )
-        measured_ejected += int(out[4])
-        measured_flits += int(out[5])
-        for k in range(int(out[2])):
-            pk = int(ej_order[k])
-            lat = int(p_eject[pk]) - seg_pkts[pk].created_at
-            latency.add(lat)
-            latencies.append(lat)
-            hops_stats.add(int(p_hops[pk]))
-        # creation-time drops count only for cycles the loop visited
-        cap = stop if stopped else int(out[0])
-        counters["dropped"] += sum(1 for c in drop_cycles if c < cap)
-        first_wu = _merge_first(first_wu, int(out[7]))
-        first_me = _merge_first(first_me, int(out[8]))
-        first_wu = _merge_first(
-            first_wu, next((c for c in drop_cycles if warmup <= c < cap), -1)
-        )
-        first_me = _merge_first(
-            first_me,
-            next((c for c in drop_cycles if measure_end <= c < cap), -1),
-        )
+        created_measured += seg_created
+        measured_ejected += n_ej
+        measured_flits += seg_flits
+        counters["dropped"] += seg_dropped
+        seg_latencies = ej_lat[:n_ej].tolist()
+        latency.extend(seg_latencies)
+        latencies.extend(seg_latencies)
+        hops_stats.extend(ej_hops[:n_ej].tolist())
 
         if tel is not None:
             segments.append(dict(
-                nodes=nodes, n_seed=n_seed, p_cycle=p_cycle, p_src=p_src,
-                p_len=p_len, n_s=int(out[6]), s_cycle=s_cycle,
-                s_inflight=s_inflight, s_occ=s_occ, s_ej=s_ej,
-                ej_out=ej_out, cap=cap,
+                nodes=nodes, n_s=n_s, s_cycle=s_cycle, s_inflight=s_inflight,
+                s_occ=s_occ, s_ej=s_ej, s_inj=s_inj, ej_out=ej_out,
+                inj_out=inj_out,
             ))
 
         if not stopped:
-            cycles_run = int(out[0])
-            idle_break = bool(flags & _FLAG_IDLE_BREAK)
+            cycles_run = seg_cycles
             break
 
         # boundary: reconfigure and replay drop-and-retransmit (survivor
         # order is pid order, exactly like Network.extract_in_flight)
         region = reconfigured_topology(planned, faults, stop)
-        degraded = region is not planned
-        keep = region.active_nodes
-        survivors = [
-            (seg_pkts[k], bool(p_started[k]))
-            for k in range(n_pkts)
-            if p_eject[k] < 0
-        ]
-        survivors.sort(key=lambda entry: entry[0].pid)
-        seeds = []
-        for pkt, started in survivors:
-            if pkt.source in keep and pkt.destination in keep:
-                seeds.append((pkt, started))
+        keep = set(region.active_nodes)
+        seed_rows = []
+        for src, dest, created, meas, started in (
+            survivors[:n_sv * 5].reshape(n_sv, 5).tolist()
+        ):
+            src = nodes[src]
+            if src in keep and dest in keep:
+                seed_rows.append((src, dest, created, meas))
                 counters["retransmitted" if started else "rerouted"] += 1
             else:
                 counters["dropped"] += 1
-                if pkt.measured:
-                    counters["lost_measured"] += 1
+                counters["lost_measured"] += meas
         counters["reconfigurations"] += 1
         min_level = min(min_level, region.level)
         reconf_events.append((stop, region.level))
@@ -1203,18 +1043,16 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         # region, equals XY on the restored full mesh)
         routing = "cdor"
         seg_start = stop
-        next_b += 1
 
     saturated = (
         measured_ejected < created_measured - counters["lost_measured"]
     )
-    endpoints = len(traffic.endpoints)
 
     if tel is not None:
-        _emit_faulted_telemetry(
-            tel, spec, traffic, segments, reconf_events, first_wu, first_me,
-            cycles_run, idle_break, deadline, saturated, created_measured,
-            measured_ejected, measured_flits, counters,
+        _emit_run_telemetry(
+            tel, spec, traffic, segments, reconf_events, cycles_run,
+            saturated, created_measured, measured_ejected, measured_flits,
+            counters,
         )
 
     return SimulationResult(
@@ -1228,15 +1066,15 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
         packets_ejected=measured_ejected,
         offered_flits_per_cycle=traffic.injection_rate,
         accepted_flits_per_cycle=(
-            measured_flits / (measure_cycles * endpoints)
-            if measure_cycles and endpoints
+            measured_flits / (measure_cycles * n_ep)
+            if measure_cycles and n_ep
             else 0.0
         ),
         saturated=saturated,
         cycles_run=cycles_run,
         measure_cycles=measure_cycles,
         activity=activity,
-        endpoint_count=endpoints,
+        endpoint_count=n_ep,
         packets_dropped=counters["dropped"],
         packets_retransmitted=counters["retransmitted"],
         packets_rerouted=counters["rerouted"],
@@ -1245,20 +1083,23 @@ def _execute_faulted(spec, lib, tel, interval) -> SimulationResult | None:
     )
 
 
-def _emit_faulted_telemetry(
-    tel, spec, traffic, segments, reconf_events, first_wu, first_me,
-    cycles_run, idle_break, deadline, saturated, created_measured,
-    measured_ejected, measured_flits, counters,
+def _emit_run_telemetry(
+    tel, spec, traffic, segments, reconf_events, cycles_run, saturated,
+    created_measured, measured_ejected, measured_flits, counters,
 ) -> None:
-    """Replay a segmented faulted run's telemetry in reference order.
+    """Replay a run's batched activity capture as telemetry.
 
-    Phase-span transitions happen at the first *visited* cycle past each
-    threshold (the kernel reports it per segment), reconfigure spans at
-    their boundary cycle -- a boundary that coincides with a transition
-    keeps the reference order: boundary processing precedes the phase
-    check, so the reconfigure span lands in the outgoing phase's span.
-    Samples replay per segment with the cumulative injection/ejection
-    maps carried across boundaries, like the reference's live dicts.
+    Reconstructs what the Python kernels emit live: the simulate/phase
+    span tree, one sample event per captured instant, and the end-of-run
+    metrics fold.  The kernel steps every cycle in ``[0, cycles_run)``,
+    so the phase transitions happen at the thresholds themselves
+    whenever the run reached them, and a reconfigure span lands in the
+    reference order: boundary processing precedes the phase check, so a
+    boundary that coincides with a transition stays in the outgoing
+    phase's span.  Samples replay per segment with the cumulative
+    injection/ejection maps carried across boundaries, like the
+    reference's live dicts (re-injected survivors are not new
+    injections).
     """
     from repro.noc.backends.reference import _record_sim_metrics
     from repro.noc.backends.vectorized import _emit_flat_sample
@@ -1276,92 +1117,67 @@ def _emit_faulted_telemetry(
     phase_span = tracer.span("phase:warmup", parent=sim_span.id)
     phase = 0
 
-    def flip_measure():
+    def cross_phases(upto: int) -> None:
+        """Take every phase transition at a cycle before ``upto``."""
         nonlocal phase, phase_span
-        phase = 1
-        phase_span.annotate(end_cycle=warmup)
-        phase_span.end()
-        phase_span = tracer.span(
-            "phase:measure", parent=sim_span.id, start_cycle=warmup
-        )
-
-    def flip_drain():
-        nonlocal phase, phase_span
-        phase = 2
-        phase_span.annotate(end_cycle=measure_end)
-        phase_span.end()
-        phase_span = tracer.span(
-            "phase:drain", parent=sim_span.id, start_cycle=measure_end
-        )
+        if phase == 0 and warmup < upto:
+            phase = 1
+            phase_span.annotate(end_cycle=warmup)
+            phase_span.end()
+            phase_span = tracer.span(
+                "phase:measure", parent=sim_span.id, start_cycle=warmup
+            )
+        if phase == 1 and measure_end < upto:
+            phase = 2
+            phase_span.annotate(end_cycle=measure_end)
+            phase_span.end()
+            phase_span = tracer.span(
+                "phase:drain", parent=sim_span.id, start_cycle=measure_end
+            )
 
     for boundary, level in reconf_events:
-        if phase == 0 and 0 <= first_wu < boundary:
-            flip_measure()
-        if phase == 1 and 0 <= first_me < boundary:
-            flip_drain()
+        cross_phases(boundary)
         reconf_span = tracer.span(
             "reconfigure", parent=phase_span.id, cycle=boundary
         )
         reconf_span.annotate(level=level)
         reconf_span.end()
-        if phase == 0 and 0 <= first_wu <= boundary:
-            flip_measure()
-        if phase == 1 and 0 <= first_me <= boundary:
-            flip_drain()
-    if phase == 0 and (first_wu >= 0 or idle_break):
-        flip_measure()
-    if phase == 1 and (
-        first_me >= 0 or (idle_break and deadline > measure_end)
-    ):
-        flip_drain()
+    cross_phases(cycles_run)
 
     inj: dict[int, int] = {}
-    ej_base: dict[int, int] = {}
+    ej: dict[int, int] = {}
     for seg in segments:
         nodes = seg["nodes"]
         count = len(nodes)
-        p_cycle, p_src, p_len = seg["p_cycle"], seg["p_src"], seg["p_len"]
-        n_rows, n_seed = len(p_cycle), seg["n_seed"]
-        s_cycle, s_occ, s_ej = seg["s_cycle"], seg["s_occ"], seg["s_ej"]
-        ptr = 0
-        for k in range(seg["n_s"]):
-            c = int(s_cycle[k])
-            # the kernel captures before the cycle's queue entries; the
-            # reference samples after them, so fold in this instant's
-            # rows (re-injected seeds count toward in-flight flits but
-            # not toward the cumulative injection map)
-            flits_now = 0
-            while ptr < n_rows and p_cycle[ptr] <= c:
-                if p_cycle[ptr] == c:
-                    flits_now += p_len[ptr]
-                if ptr >= n_seed:
-                    node = nodes[p_src[ptr]]
-                    inj[node] = inj.get(node, 0) + p_len[ptr]
-                ptr += 1
+        n_s = seg["n_s"]
+        s_occ = seg["s_occ"][:n_s * count].tolist()
+        s_ej = seg["s_ej"][:n_s * count].tolist()
+        s_inj = seg["s_inj"][:n_s * count].tolist()
+        for k, (c, in_flight) in enumerate(zip(
+            seg["s_cycle"][:n_s].tolist(), seg["s_inflight"][:n_s].tolist()
+        )):
             base = k * count
-            occ_row = [int(x) for x in s_occ[base:base + count]]
+            inj_map = {
+                node: inj.get(node, 0) + s_inj[base + i]
+                for i, node in enumerate(nodes)
+            }
             ej_map = {
-                nodes[i]: ej_base.get(nodes[i], 0) + int(s_ej[base + i])
-                for i in range(count)
+                node: ej.get(node, 0) + s_ej[base + i]
+                for i, node in enumerate(nodes)
             }
             _emit_flat_sample(
-                tel, sim_span.id, c, nodes, occ_row,
-                int(seg["s_inflight"][k]) + flits_now, inj, ej_map,
+                tel, sim_span.id, c, nodes, s_occ[base:base + count],
+                in_flight, inj_map, ej_map,
             )
-        while ptr < n_rows and p_cycle[ptr] < seg["cap"]:
-            if ptr >= n_seed:
-                node = nodes[p_src[ptr]]
-                inj[node] = inj.get(node, 0) + p_len[ptr]
-            ptr += 1
-        ej_out = seg["ej_out"]
-        for i, node in enumerate(nodes):
-            if ej_out[i]:
-                ej_base[node] = ej_base.get(node, 0) + int(ej_out[i])
+        for totals, final in ((inj, seg["inj_out"]), (ej, seg["ej_out"])):
+            for node, flits in zip(nodes, final.tolist()):
+                if flits:
+                    totals[node] = totals.get(node, 0) + flits
 
     _record_sim_metrics(
         tel, cycles_run, created_measured,
         {"measured": measured_ejected, "measured_flits": measured_flits},
-        counters, saturated, inj, ej_base, {},
+        counters, saturated, inj, ej, {},
     )
     phase_span.annotate(end_cycle=cycles_run)
     phase_span.end()

@@ -473,6 +473,26 @@ def _execute_vectorized(
         phase_span = tracer.span("phase:warmup", parent=sim_span.id)
         phase = 0  # 0 warmup, 1 measure, 2 drain
 
+        def cross_phases(upto: int) -> None:
+            """Take the phase transitions the reference loop makes on the
+            cycles before ``upto`` (it visits every cycle, including the
+            idle ones this engine jumps over)."""
+            nonlocal phase, phase_span
+            if phase == 0 and warmup < upto:
+                phase = 1
+                phase_span.annotate(end_cycle=warmup)
+                phase_span.end()
+                phase_span = tracer.span(
+                    "phase:measure", parent=sim_span.id, start_cycle=warmup
+                )
+            if phase == 1 and measure_end < upto:
+                phase = 2
+                phase_span.annotate(end_cycle=measure_end)
+                phase_span.end()
+                phase_span = tracer.span(
+                    "phase:drain", parent=sim_span.id, start_cycle=measure_end
+                )
+
     faults = spec.faults
     boundaries = faults.boundaries() if faults else []
     next_boundary = 0
@@ -519,23 +539,7 @@ def _execute_vectorized(
                 # and exits there (boundaries beyond it stay unprocessed)
                 cycles_run = measure_end + 1 if deadline > measure_end else deadline
                 if tracer is not None:
-                    # walk the remaining phase boundaries the reference
-                    # would have crossed while idling
-                    if phase == 0:
-                        phase = 1
-                        phase_span.annotate(end_cycle=warmup)
-                        phase_span.end()
-                        phase_span = tracer.span(
-                            "phase:measure", parent=sim_span.id, start_cycle=warmup
-                        )
-                    if phase == 1 and deadline > measure_end:
-                        phase = 2
-                        phase_span.annotate(end_cycle=measure_end)
-                        phase_span.end()
-                        phase_span = tracer.span(
-                            "phase:drain", parent=sim_span.id,
-                            start_cycle=measure_end,
-                        )
+                    cross_phases(cycles_run)
                 if interval:
                     _emit_idle_samples(
                         tel, sim_span.id, cycle, measure_end, interval,
@@ -572,6 +576,8 @@ def _execute_vectorized(
             else:
                 jump = nxt if nxt < nb else nb
             if jump > cycle:
+                if tracer is not None:
+                    cross_phases(jump)
                 if interval:
                     _emit_idle_samples(
                         tel, sim_span.id, cycle, jump, interval,
@@ -691,20 +697,7 @@ def _execute_vectorized(
                 reconf_span.end()
 
         if tracer is not None:
-            if phase == 0 and cycle >= warmup:
-                phase = 1
-                phase_span.annotate(end_cycle=warmup)
-                phase_span.end()
-                phase_span = tracer.span(
-                    "phase:measure", parent=sim_span.id, start_cycle=warmup
-                )
-            if phase == 1 and cycle >= measure_end:
-                phase = 2
-                phase_span.annotate(end_cycle=measure_end)
-                phase_span.end()
-                phase_span = tracer.span(
-                    "phase:drain", parent=sim_span.id, start_cycle=measure_end
-                )
+            cross_phases(cycle + 1)
 
         win = warmup <= cycle < measure_end
 

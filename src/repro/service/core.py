@@ -199,18 +199,24 @@ class ExperimentService:
             if key in to_run:
                 coalesced += 1  # duplicate within this very batch
                 continue
-            with self._lock:
-                if key in self._inflight:
-                    coalesced += 1
-                    continue
-            value, claim = self.cache.get_or_begin(key)
-            if value is not None:
-                cached += 1
-                continue
+            # check and insert in one critical section: a same-process
+            # loser joins the winner's entry instead of replacing it
             entry = _Inflight()
             with self._lock:
+                if self._inflight.setdefault(key, entry) is not entry:
+                    coalesced += 1
+                    continue
+            try:
+                value, claim = self.cache.get_or_begin(key)
+            except BaseException as err:  # noqa: BLE001 -- joiners must wake
+                self._resolve(key, error=f"{type(err).__name__}: {err}")
+                raise
+            if value is not None:
+                cached += 1
+                self._resolve(key)  # wakes anyone who joined meanwhile
+                continue
+            with self._lock:
                 self._errors.pop(key, None)
-                self._inflight[key] = entry
             if claim is not None:
                 to_run[key] = spec
                 claims[key] = claim

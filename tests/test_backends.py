@@ -14,6 +14,8 @@ import contextlib
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
@@ -713,3 +715,115 @@ class TestDriverPlumbing:
                          warmup_cycles=200, measure_cycles=600).network
         assert a.avg_latency == b.avg_latency
         assert a.total_power_w == b.total_power_w
+
+
+# ----------------------------------------------------------------------
+# generative differential testing: reference vs fast path
+# ----------------------------------------------------------------------
+# endpoint counts each pattern accepts on meshes up to 3x3; uniform and
+# hotspot take counts where k - 1 is not a power of two, so the kernel's
+# randrange port runs its rejection loop
+_PATTERN_LEVELS = {
+    "uniform": (1, 2, 3, 4, 6, 7, 9),
+    "hotspot": (2, 3, 4, 6, 7, 9),
+    "neighbor": (2, 5, 8),
+    "bit_complement": (3, 4, 7),
+    "tornado": (2, 5, 6, 9),
+    "transpose": (4, 9),
+    "shuffle": (2, 4, 8),
+}
+_PACKET = CFG.packet_length_flits
+
+# every pattern, hotspot at both ends of its fraction range and between
+_VARIANTS = [(pattern, None) for pattern in sorted(_PATTERN_LEVELS)
+             if pattern != "hotspot"]
+_VARIANTS += [("hotspot", fraction) for fraction in (0.0, 1.0, 0.5)]
+
+
+@st.composite
+def differential_cases(draw, pattern, hotspot_fraction):
+    """A small ``pattern`` spec plus an optional sampling interval."""
+    level = draw(st.sampled_from(_PATTERN_LEVELS[pattern]))
+    side = 2 if level <= 4 and draw(st.booleans()) else 3
+    topo = SprintTopology.for_level(side, side, level)
+    nodes = topo.active_nodes
+    rate = draw(st.one_of(
+        st.floats(0.02, 0.6),
+        st.sampled_from((float(_PACKET), 1.5 * _PACKET)),  # a packet every cycle
+        st.just(0.0),
+    ))
+    hotspot = {}
+    if pattern == "hotspot":
+        hotspot = dict(hotspot_fraction=hotspot_fraction,
+                       hotspot_endpoint=draw(st.sampled_from(nodes)))
+    traffic = TrafficSpec(tuple(nodes), rate, _PACKET, pattern=pattern,
+                          seed=draw(st.integers(0, 2**31 - 1)), **hotspot)
+    routing = "cdor"
+    if level == side * side:
+        routing = draw(st.sampled_from(("cdor", "xy", "west_first",
+                                        "negative_first")))
+    warmup = draw(st.integers(0, 30))
+    measure = draw(st.integers(1, 50))
+    faults = None
+    victims = [n for n in nodes if n != topo.master]
+    # faults reconfigure deterministically, so adaptive routing sits out
+    if victims and routing in ("cdor", "xy") and draw(st.booleans()):
+        faults = FaultSchedule((FaultEvent(
+            cycle=draw(st.integers(1, warmup + measure)),
+            node=draw(st.sampled_from(victims)),
+            duration=draw(st.one_of(st.none(), st.integers(1, 60))),
+        ),))
+    spec = SimulationSpec(
+        topo, traffic, CFG, routing=routing, warmup_cycles=warmup,
+        measure_cycles=measure, drain_cycles=draw(st.integers(0, 120)),
+        faults=faults,
+    )
+    return spec, draw(st.sampled_from((7, None, 1, 20)))
+
+
+def _observed(spec, backend, interval):
+    """A run's result, plus its begin-span stream, samples and metrics
+    when ``interval`` turns sampled telemetry on."""
+    from repro.telemetry import Telemetry
+
+    if interval is None:
+        return dataclasses.asdict(simulate(spec, backend=backend)), None
+    tel = Telemetry(sample_interval=interval)
+    result = simulate(spec, backend=backend, telemetry=tel)
+    events = tel.tracer.drain()
+    spans = [
+        (e["name"],
+         {k: v for k, v in e.items() if k not in ("id", "parent", "ts")})
+        for e in events if e["ev"] == "begin"
+    ]
+    samples = [e["data"] for e in events if e["ev"] == "sample"]
+    return dataclasses.asdict(result), (spans, samples, tel.metrics.snapshot())
+
+
+class TestGenerativeDifferential:
+    """Reference and fast path agree on every generated small spec: all
+    seven patterns, rejection-sampled destinations, idle and overloaded
+    rates, hotspot corner cases, mid-window fault boundaries and sampled
+    telemetry (per-router injections compared interval by interval)."""
+
+    @pytest.mark.parametrize("pattern,hotspot_fraction", _VARIANTS)
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_fast_path_matches_reference(self, pattern, hotspot_fraction,
+                                         data):
+        spec, interval = data.draw(
+            differential_cases(pattern, hotspot_fraction))
+        assert (_observed(spec, "reference", interval)
+                == _observed(spec, "vectorized", interval))
+
+    def test_fault_boundary_mid_window_carries_the_traffic_stream(self):
+        """Two boundaries inside the measure window: the traffic stream
+        runs on across three kernel segments, and survivors re-enter with
+        their original creation cycles."""
+        spec = make_spec(level=9, rate=0.35, seed=11, warmup=30, measure=90,
+                         drain_cycles=200, faults=FaultSchedule(
+                             (FaultEvent(cycle=60, node=4, duration=30),)))
+        reference = _observed(spec, "reference", 10)
+        assert reference[0]["reconfigurations"] == 2
+        assert reference[0]["packets_retransmitted"] > 0
+        assert reference == _observed(spec, "vectorized", 10)

@@ -168,6 +168,22 @@ class TestSweepRunner:
                 n: vars(r) for n, r in b.activity.routers.items()
             }
 
+    def test_serial_run_hashes_each_point_once(self, monkeypatch):
+        """The run computes every point's cache key once, up front; the
+        ledger record reuses those keys instead of re-hashing each spec."""
+        calls = []
+        original = SimulationSpec.cache_key
+
+        def counting(spec):
+            calls.append(spec)
+            return original(spec)
+
+        monkeypatch.setattr(SimulationSpec, "cache_key", counting)
+        specs = [small_spec(rate=r) for r in (0.05, 0.1, 0.15)]
+        report = SweepRunner(workers=1, cache=ResultCache()).run(specs)
+        assert report.run_record is not None  # the ledger path ran
+        assert len(calls) == len(specs)
+
     def test_repeat_sweep_is_all_cache_hits(self):
         specs = [small_spec(rate=r) for r in (0.05, 0.1)]
         runner = SweepRunner(cache=ResultCache())

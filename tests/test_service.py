@@ -18,6 +18,7 @@ Three layers under test:
 import json
 import os
 import threading
+import time
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -246,6 +247,69 @@ class TestGetOrBegin:
         for cache in caches:
             for key in keys:
                 assert not cache.has_claim(key)
+
+
+class TestServiceSingleflight:
+    def test_same_process_claim_losers_join_the_winner(self, tmp_path,
+                                                       monkeypatch):
+        """Threads submitting one new key at the same instant all wake on
+        the one simulation: a claim loser must never replace the winner's
+        in-flight entry (which would strand the winner's waiters until
+        their timeout)."""
+        service = ExperimentService(
+            cache=ResultCache(), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        # widen the race window: every claimant is slow to claim, so all
+        # of them pass the in-flight check before anyone inserts, and a
+        # loser comes back later still, while the winner's batch runs
+        get_or_begin = service.cache.get_or_begin
+
+        def slow_claim(key, **kwargs):
+            time.sleep(0.1)
+            value, claim = get_or_begin(key, **kwargs)
+            if value is None and claim is None:
+                time.sleep(0.2)
+            return value, claim
+
+        execute_batch = service._execute_batch
+
+        def slow_batch(*args):
+            time.sleep(0.5)
+            execute_batch(*args)
+
+        monkeypatch.setattr(service.cache, "get_or_begin", slow_claim)
+        monkeypatch.setattr(service, "_execute_batch", slow_batch)
+
+        wire = spec_to_wire(make_spec(seed=91))
+        key = spec_from_wire(wire).cache_key()
+        threads_n, timeout_s = 6, 10.0
+        barrier = threading.Barrier(threads_n)
+        outcomes = []
+        lock = threading.Lock()
+
+        def submit_and_wait():
+            barrier.wait()
+            start = time.monotonic()
+            service.submit([wire], client="racer")
+            value = service.wait(key, timeout_s=timeout_s)
+            with lock:
+                outcomes.append((value, time.monotonic() - start))
+
+        threads = [threading.Thread(target=submit_and_wait)
+                   for _ in range(threads_n)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            service.close()
+        assert len(outcomes) == threads_n
+        assert all(value is not None for value, _ in outcomes)
+        slowest = max(elapsed for _, elapsed in outcomes)
+        assert slowest < timeout_s / 2, f"a waiter was stranded ({slowest:.1f} s)"
+        assert service.counter_value("service_simulations_total") == 1
 
 
 # ----------------------------------------------------------------------
