@@ -10,7 +10,7 @@ from repro.core.gating_policy import xy_wakeups_through_dark
 from repro.core.topological import SprintTopology
 from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.sim import run_simulation
-from repro.noc.traffic import TrafficGenerator
+from repro.noc.spec import SimulationSpec, TrafficSpec
 from repro.util.tables import format_table
 
 from benchmarks.common import once, report
@@ -30,20 +30,21 @@ def offending_pairs():
 
 def wakeup_latency_cost(level=8, rate=0.05):
     """Run the same active-core traffic two ways: CDOR on the static region
-    vs XY on the full mesh with timeout gating (the conventional scheme)."""
+    vs XY on the full mesh with timeout gating (the conventional scheme).
+    Both run on ``backend="auto"``, which puts the gated run on the C
+    kernel too."""
     region = SprintTopology.for_level(4, 4, level)
-    traffic = TrafficGenerator(list(region.active_nodes), rate,
-                               CFG.packet_length_flits, seed=3)
-    cdor = run_simulation(region, traffic, CFG, routing="cdor",
-                          warmup_cycles=300, measure_cycles=1500)
+    traffic = TrafficSpec(tuple(region.active_nodes), rate,
+                          CFG.packet_length_flits, seed=3)
+    cdor = run_simulation(SimulationSpec(
+        region, traffic, CFG, routing="cdor", warmup_cycles=300,
+        measure_cycles=1500, backend="auto"))
 
     full = SprintTopology.for_level(4, 4, 16)
-    traffic2 = TrafficGenerator(list(region.active_nodes), rate,
-                                CFG.packet_length_flits, seed=3)
     policy = TimeoutGatingPolicy(idle_timeout=32)
-    xy = run_simulation(full, traffic2, CFG, routing="xy",
-                        warmup_cycles=300, measure_cycles=1500,
-                        gating_policy=policy)
+    xy = run_simulation(SimulationSpec(
+        full, traffic, CFG, routing="xy", warmup_cycles=300,
+        measure_cycles=1500, backend="auto"), gating_policy=policy)
     return cdor, xy, policy
 
 

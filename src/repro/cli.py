@@ -1065,7 +1065,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
         kernel = "-"
         if name == "vectorized":
             kernel = ("available" if native.available()
-                      else "unavailable (pure-Python flat engine)")
+                      else "unavailable (runs on reference)")
         rows.append([name, getattr(backend, "speed_rank", 0), caps, kernel])
     print(format_table(
         ["backend", "speed rank", "capabilities", "native kernel"],

@@ -447,8 +447,10 @@ class LeaseTable:
             except OSError:
                 pass
 
-    def reclaim_expired(self, now: float | None = None) -> list[dict]:
-        """Expire every lease whose deadline has passed (coordinator only).
+    def reclaim_expired(self, now: float | None = None,
+                        finished: frozenset = frozenset()) -> list[dict]:
+        """Expire every lease whose deadline has passed, and at once every
+        lease on a ``finished`` key (coordinator only).
 
         An unreadable lease file (a claimer killed mid-write) is expired
         by its mtime.  Each reclamation appends an ``expired`` event and
@@ -464,16 +466,19 @@ class LeaseTable:
         for entry in entries:
             if not entry.name.endswith(".json"):
                 continue
+            key = entry.name[:-len(".json")]
             lease = _read_json(Path(entry.path))
             if lease is None:
                 try:
-                    if entry.stat().st_mtime + ttl > now:
+                    if (entry.stat().st_mtime + ttl > now
+                            and key not in finished):
                         continue  # probably mid-write: give it a grace ttl
                 except OSError:
                     continue
-                lease = {"key": entry.name[:-len(".json")],
+                lease = {"key": key,
                          "worker": "unknown", "attempt": 0, "nonce": "torn"}
-            elif float(lease.get("deadline", 0.0)) > now:
+            elif (float(lease.get("deadline", 0.0)) > now
+                  and key not in finished):
                 continue
             self.append({"ev": "expired", "key": lease["key"],
                          "worker": lease.get("worker", "unknown"),
@@ -851,8 +856,13 @@ class FabricCoordinator:
         )
         if adopted:
             # a previous coordinator died: stale leases (whose holders are
-            # long gone) would otherwise block re-leasing for a full ttl
-            table.reclaim_expired()
+            # long gone) would otherwise block re-leasing for a full ttl,
+            # and a worker killed between its `done` append and its
+            # release left a live lease on a finished point that no
+            # worker claims again, so it would outlive the sweep
+            events, _ = table.read_events(0)
+            table.reclaim_expired(finished=frozenset(
+                event["key"] for event in events if event.get("ev") == "done"))
         transport = ResultCache(directory=table.meta["results_dir"])
         if self.telemetry is not None:
             self.telemetry.metrics.preregister(FABRIC_COUNTER_HELP,

@@ -4,11 +4,13 @@ Importing this package registers the two built-in engines:
 
 - ``"reference"`` -- the cycle-accurate object-model simulator, the
   semantic ground truth every other engine is validated against;
-- ``"vectorized"`` -- the flat-array fast path, bit-identical to the
-  reference on *every* capability (fault schedules, gating policies,
-  adaptive routing, telemetry sampling and tracing) and several times
-  faster; a self-compiled C kernel accelerates the runs it covers, with
-  a pure-Python flat engine as the documented fallback for the rest.
+- ``"vectorized"`` -- the fast path: a self-compiled C kernel over flat
+  arrays, bit-identical to the reference on *every* capability (fault
+  schedules, timeout gating, adaptive routing, telemetry sampling and
+  tracing) and over ten times faster.  A run the kernel does not cover
+  (no C compiler, ``REPRO_NOC_NATIVE=0``, more VCs than the kernel's
+  masks hold, a repeated traffic endpoint, or a gating policy other
+  than exactly ``TimeoutGatingPolicy``) runs on the reference engine.
 
 Both engines declare the full capability set, so explicit backend
 selection never needs to fall back for feature reasons; capability

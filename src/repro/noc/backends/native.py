@@ -1,10 +1,7 @@
-"""Compiled-kernel accelerator behind the vectorized backend.
+"""The compiled kernel behind the vectorized backend.
 
-The vectorized backend's flat-array pipeline replica
-(:mod:`repro.noc.backends.vectorized`) is exact but interpreter-bound:
-profiling puts its per-router allocation pass at a few microseconds, and
-a loaded mesh runs hundreds of thousands of them.  This module carries
-the *same* kernel -- decision for decision: VC allocation order, switch
+A replica of the reference engine's wormhole-VC pipeline over flat
+per-mesh arrays -- decision for decision: VC allocation order, switch
 allocation round-robins, credit timing, ejection order -- as a small C
 translation unit, compiled on demand with whatever ``cc``/``gcc``/
 ``clang`` the host provides and loaded through :mod:`ctypes`.
@@ -14,9 +11,9 @@ keyed by the SHA-256 of the embedded source, so each kernel revision
 compiles once per machine; publication is an atomic :func:`os.replace`
 so concurrent sweep workers never observe a half-written library.  When
 no compiler is available, compilation fails, or ``REPRO_NOC_NATIVE=0``
-disables the path, :func:`available` returns False and the vectorized
-backend silently falls back to its pure-Python kernel -- same results,
-just slower.
+disables the path, :func:`available` returns False, :func:`execute`
+declines every run, and the vectorized backend runs it on the reference
+engine -- same results, just slower.
 
 Division of labour with the Python driver:
 
@@ -33,11 +30,16 @@ Division of labour with the Python driver:
   in ejection order, and Python folds them through the same
   ``RunningStats`` so the Welford mean accumulates in exactly the
   reference sequence;
+- a :class:`~repro.noc.power_gating.TimeoutGatingPolicy` runs inside
+  the kernel: its idle timeout and protected nodes come in as inputs,
+  the kernel applies the policy's gate-off rule every cycle together
+  with the reference network's demand wakeups, and the gate, wake and
+  gated-cycle counts come back to be added to the policy's ``stats``;
 - telemetry runs batch their per-interval activity capture inside the
-  kernel (sample cycle, flits in flight, per-router buffer occupancy
-  and cumulative injected and ejected flits land in flat arrays), and
-  the driver replays them as the same spans, sample events and metrics
-  the Python kernels emit;
+  kernel (sample cycle, flits in flight, per-router buffer occupancy,
+  gating flags and cumulative injected and ejected flits land in flat
+  arrays), and Python replays them as the same spans, sample events and
+  metrics the reference emits;
 - fault schedules run as a *chain* of kernel segments, one per region
   configuration (an unfaulted run is a chain of one): the kernel stops
   at the next fault boundary and hands back its unejected packets in
@@ -46,9 +48,8 @@ Division of labour with the Python driver:
   the normal NI path ahead of that cycle's creations, keeping their
   original creation cycles.  The MT state runs on across the chain, and
   the kernel drops creations whose endpoint falls outside a degraded
-  region.  Gated runs are the one thing this module never sees: the
-  policy is an arbitrary Python object the kernel cannot call back into
-  every cycle, so they stay on the pure-Python flat engine.
+  region.  Each segment starts with every router powered, as the
+  reference's rebuilt network does.
 """
 
 from __future__ import annotations
@@ -96,6 +97,7 @@ typedef uint32_t u32;
 
 #define NEVER (1LL << 60)
 #define FLAG_BOUNDARY 4
+#define WAKEUP_LATENCY 8  /* Network's default wakeup_latency */
 #define PATTERN_FIXED 0
 #define PATTERN_HOTSPOT 2
 #define P_MEAS 1
@@ -159,8 +161,14 @@ typedef struct {
  * order (VC allocation request order, free-VC assignment, both
  * switch-allocation round-robins), every pipeline delay (VA at
  * arrival+2, head SA one cycle after VA, body SA at arrival+1, credits
- * at +1, links at +2) and the ejection sequence match the Python
- * kernels bit for bit.
+ * at +1, links at +2) and the ejection sequence match the reference
+ * engine bit for bit.
+ *
+ * With `idle_timeout` >= 0 the kernel also runs TimeoutGatingPolicy's
+ * rules: a router outside `protect` with no buffered flit, an idle NI
+ * and no activity for `idle_timeout` cycles is gated; link arrivals,
+ * NI pressure and blocked switch nominations request a wake, which
+ * completes WAKEUP_LATENCY cycles later.
  *
  * Fault schedules run as a chain of segments: each reconfiguration
  * tears the network down to fresh state anyway, so the driver invokes
@@ -168,45 +176,60 @@ typedef struct {
  * `stop_cycle` at the next one, and the previous segment's survivors
  * as seed rows (they re-enter ahead of that cycle's creations,
  * preserving the reference's re-injection order). */
-i64 run_kernel(
-    i64 count, i64 vcs, i64 depth, i64 mesh,
-    const i64 *neighbor,   /* count*5 router indices, -1 when absent   */
-    const i64 *route,      /* count*mesh output port per dest node id;
-                            * adaptive candidate pairs are packed as
-                            * 8 | (c0 << 4) | (c1 << 8)                */
-    const i64 *rev,        /* 5: reverse port map                      */
-    i64 n_ep,              /* traffic endpoints                        */
-    const i64 *ep_router,  /* n_ep: router index, -1 outside the region */
-    const i64 *ep_node,    /* n_ep: node id, the destination route key */
-    const i64 *perm,       /* n_ep: PATTERN_FIXED destination endpoint,
-                            * -1 when the endpoint sends nothing       */
-    i64 pattern,           /* PATTERN_FIXED, _UNIFORM or _HOTSPOT      */
-    i64 length,            /* flits per packet                         */
-    i64 hot,               /* hotspot endpoint index                   */
-    double prob,           /* packets per endpoint per cycle           */
-    double hot_frac,       /* hotspot fraction                         */
-    u32 *mt,               /* 625: MT19937 state, advanced in place    */
-    i64 start_cycle,       /* first cycle (a fault-segment boundary)   */
-    i64 stop_cycle,        /* break before this cycle, -1 for never    */
-    i64 warmup, i64 measure_end, i64 deadline,
-    i64 n_seed,
-    const i64 *seeds,      /* n_seed*4: src router, dest node, created
-                            * cycle, measured -- in pid order          */
-    i64 *out,              /* 8 scalars, see driver                    */
-    i64 *survivors,        /* at a boundary, 5 per unejected row: src
-                            * router, dest, created, measured, started */
-    i64 *ej_lat,           /* measured ejections, in ejection order:  */
-    i64 *ej_hops,          /*   latency and hop count                  */
-    i64 *counters,         /* count*4: writes, reads, links, va grants */
-    i64 interval,          /* telemetry sample period, 0 = no capture  */
-    i64 s_cap,             /* capacity of the sample arrays            */
-    i64 *s_cycle,          /* s_cap: sample instants                   */
-    i64 *s_inflight,       /* s_cap: flits in flight at the instant    */
-    i64 *s_occ,            /* s_cap*count: per-router buffered flits   */
-    i64 *s_ej,             /* s_cap*count: cumulative ejected flits    */
-    i64 *s_inj,            /* s_cap*count: cumulative injected flits   */
-    i64 *ej_out,           /* count: final cumulative ejected flits    */
-    i64 *inj_out)          /* count: final cumulative injected flits   */
+#define KERNEL_PARAMS                                                        \
+    i64 count, i64 vcs, i64 depth, i64 mesh,                                 \
+    const i64 *neighbor,   /* count*5 router indices, -1 when absent   */    \
+    const i64 *route,      /* count*mesh output port per dest node id;       \
+                            * adaptive candidate pairs are packed as         \
+                            * 8 | (c0 << 4) | (c1 << 8)                */    \
+    const i64 *rev,        /* 5: reverse port map                      */    \
+    i64 n_ep,              /* traffic endpoints                        */    \
+    const i64 *ep_router,  /* n_ep: router index, -1 outside the region */   \
+    const i64 *ep_node,    /* n_ep: node id, the destination route key */    \
+    const i64 *perm,       /* n_ep: PATTERN_FIXED destination endpoint,      \
+                            * -1 when the endpoint sends nothing       */    \
+    i64 pattern,           /* PATTERN_FIXED, _UNIFORM or _HOTSPOT      */    \
+    i64 length,            /* flits per packet                         */    \
+    i64 hot,               /* hotspot endpoint index                   */    \
+    double prob,           /* packets per endpoint per cycle           */    \
+    double hot_frac,       /* hotspot fraction                         */    \
+    u32 *mt,               /* 625: MT19937 state, advanced in place    */    \
+    i64 start_cycle,       /* first cycle (a fault-segment boundary)   */    \
+    i64 stop_cycle,        /* break before this cycle, -1 for never    */    \
+    i64 warmup, i64 measure_end, i64 deadline,                               \
+    i64 n_seed,                                                              \
+    const i64 *seeds,      /* n_seed*4: src router, dest node, created       \
+                            * cycle, measured -- in pid order          */    \
+    i64 *out,              /* 11 scalars, see execute()                */    \
+    i64 *survivors,        /* at a boundary, 5 per unejected row: src        \
+                            * router, dest, created, measured, started */    \
+    i64 *ej_lat,           /* measured ejections, in ejection order:  */     \
+    i64 *ej_hops,          /*   latency and hop count                  */    \
+    i64 *counters,         /* count*5: writes, reads, links, va grants,      \
+                            * powered cycles                          */     \
+    i64 interval,          /* telemetry sample period, 0 = no capture  */    \
+    i64 s_cap,             /* capacity of the sample arrays            */    \
+    i64 *s_cycle,          /* s_cap: sample instants                   */    \
+    i64 *s_inflight,       /* s_cap: flits in flight at the instant    */    \
+    i64 *s_occ,            /* s_cap*count: per-router buffered flits   */    \
+    i64 *s_ej,             /* s_cap*count: cumulative ejected flits    */    \
+    i64 *s_inj,            /* s_cap*count: cumulative injected flits   */    \
+    i64 *ej_out,           /* count: final cumulative ejected flits    */    \
+    i64 *inj_out,          /* count: final cumulative injected flits   */    \
+    i64 idle_timeout,      /* gating policy timeout, -1 = no gating    */    \
+    const i64 *protect,    /* count: 1 where the policy never gates    */    \
+    i64 *s_gated           /* s_cap*count: gated flags at the instant  */
+
+#define KERNEL_ARGS                                                          \
+    count, vcs, depth, mesh, neighbor, route, rev, n_ep, ep_router,          \
+    ep_node, perm, pattern, length, hot, prob, hot_frac, mt, start_cycle,    \
+    stop_cycle, warmup, measure_end, deadline, n_seed, seeds, out,           \
+    survivors, ej_lat, ej_hops, counters, interval, s_cap, s_cycle,          \
+    s_inflight, s_occ, s_ej, s_inj, ej_out, inj_out, idle_timeout,           \
+    protect, s_gated
+
+static inline __attribute__((always_inline)) i64 kernel(
+    const int gating, KERNEL_PARAMS)
 {
     i64 slots = 5 * vcs;
     i64 gslots = count * slots;
@@ -233,6 +256,11 @@ i64 run_kernel(
     i64 *ej_cum = calloc((size_t)count, sizeof(i64));
     i64 *inj_cum = calloc((size_t)count, sizeof(i64));
     i64 *wake = calloc((size_t)count, sizeof(i64));
+    /* power gating: gated flag, requested wake cycle (-1: none) and the
+     * last cycle a flit arrived, left or the router woke */
+    i64 *gated = calloc((size_t)count, sizeof(i64));
+    i64 *wake_at = malloc((size_t)count * sizeof(i64));
+    i64 *last_active = calloc((size_t)count, sizeof(i64));
     /* network interfaces: packet queues as linked lists over the rows */
     i64 *qhead = malloc((size_t)count * sizeof(i64));
     i64 *qtail = malloc((size_t)count * sizeof(i64));
@@ -252,9 +280,9 @@ i64 run_kernel(
 
     if (!f_arr || !f_idx || !f_pkt || !rh || !fl || !vc_out || !vc_elig ||
         !owner || !credits || !va_ptr || !sa_in || !sa_out || !occ || !vap ||
-        !buffered || !ej_cum || !inj_cum || !wake || !qhead || !qtail ||
-        !cur_pkt || !cur_idx || !cur_vc || !ni_ptr || !cring || !aring ||
-        !rows) {
+        !buffered || !ej_cum || !inj_cum || !wake || !gated || !wake_at ||
+        !last_active || !qhead || !qtail || !cur_pkt || !cur_idx ||
+        !cur_vc || !ni_ptr || !cring || !aring || !rows) {
         status = 1;
         goto done;
     }
@@ -296,13 +324,20 @@ i64 run_kernel(
                    (size_t)count * sizeof(i64));                          \
             memcpy(s_inj + n_s * count, inj_cum,                          \
                    (size_t)count * sizeof(i64));                          \
+            memcpy(s_gated + n_s * count, gated,                          \
+                   (size_t)count * sizeof(i64));                          \
             n_s++;                                                        \
         }                                                                 \
     } while (0)
 
+/* a demand wake of gated router r_ (the first request sets the time) */
+#define REQUEST_WAKE(r_) do {                                             \
+        if (wake_at[r_] < 0) wake_at[r_] = cycle + WAKEUP_LATENCY;        \
+    } while (0)
+
     for (i64 g = 0; g < gslots; g++) { vc_out[g] = -1; owner[g] = -1; }
     for (i64 i = 0; i < count; i++) {
-        qhead[i] = -1; qtail[i] = -1; cur_pkt[i] = -1;
+        qhead[i] = -1; qtail[i] = -1; cur_pkt[i] = -1; wake_at[i] = -1;
         for (i64 v = 0; v < vcs; v++)
             credits[i * slots + v] = 1LL << 30;  /* ejection: unbounded */
         for (i64 port = 1; port < 5; port++)
@@ -316,6 +351,8 @@ i64 run_kernel(
     i64 outstanding = 0;  /* measured packets alive, seeds included */
     i64 created_measured = 0, measured_flits = 0, dropped = 0;
     i64 n_ej = 0, n_s = 0, n_sv = 0;
+    i64 win_cycles = 0;  /* measured cycles, each powering every router */
+    i64 gates = 0, wakes = 0, gated_cycles = 0;  /* GatingStats */
 
     /* the previous segment's survivors re-enter first, in pid order */
     for (i64 q = 0; q < n_seed; q++) {
@@ -368,10 +405,38 @@ i64 run_kernel(
 
         if (interval && cycle % interval == 0) CAPTURE(cycle);
 
+        int win = warmup <= cycle && cycle < measure_end;
+
+        /* the gating policy observes the state the previous cycle left
+         * (plus this cycle's creations), then due wakeups complete before
+         * anything moves; each router's decisions read only its own
+         * state, so one pass does both.  Powered routers bill the cycle. */
+        if (gating) {
+            for (i64 i = 0; i < count; i++) {
+                if (gated[i]) {
+                    gated_cycles++;
+                    if (wake_at[i] == cycle) wakes++;
+                    if (wake_at[i] >= 0 && cycle >= wake_at[i]) {
+                        gated[i] = 0;
+                        wake_at[i] = -1;
+                        last_active[i] = cycle;
+                        wake[i] = cycle;
+                    }
+                } else if (!protect[i] && !buffered[i] && cur_pkt[i] < 0
+                           && qhead[i] < 0
+                           && cycle - last_active[i] >= idle_timeout) {
+                    gated[i] = 1;
+                    wake_at[i] = -1;
+                    gates++;
+                }
+                if (win && !gated[i]) counters[i * 5 + 4]++;
+            }
+        } else if (win) {
+            win_cycles++;
+        }
+
         /* a whole-mesh idle cycle steps nothing */
         if (!in_flight && !events_pending) goto next_cycle;
-
-        int win = warmup <= cycle && cycle < measure_end;
 
         /* deliver credits scheduled for this cycle */
         {
@@ -403,7 +468,11 @@ i64 run_kernel(
                 occ[i] |= 1LL << s;
                 if (vc_out[g] < 0) vap[i] |= 1LL << s;
                 wake[i] = cycle;
-                if (win) counters[i * 4]++;
+                if (gating) {
+                    last_active[i] = cycle;
+                    if (gated[i]) REQUEST_WAKE(i);  /* raced the gate-off */
+                }
+                if (win) counters[i * 5]++;
             }
             aring_n[r] = 0;
             events_pending -= n;
@@ -412,8 +481,12 @@ i64 run_kernel(
         /* NI injection: one flit per node per cycle into a claimed VC */
         for (i64 i = 0; i < count; i++) {
             i64 cp = cur_pkt[i];
+            if (cp < 0 && qhead[i] < 0) continue;
+            if (gating && gated[i]) {  /* NI pressure */
+                REQUEST_WAKE(i);
+                continue;
+            }
             if (cp < 0) {
-                if (qhead[i] < 0) continue;
                 i64 chosen = -1;
                 for (i64 k = 0; k < vcs; k++) {
                     i64 v = ni_ptr[i] + k;
@@ -440,7 +513,7 @@ i64 run_kernel(
             occ[i] |= 1LL << v;
             if (vc_out[g] < 0) vap[i] |= 1LL << v;
             wake[i] = cycle;
-            if (win) counters[i * 4]++;
+            if (win) counters[i * 5]++;
             rows[cp].flags |= P_STARTED;  /* a fault would retransmit */
             cur_idx[i]++;
             if (cur_idx[i] >= length) cur_pkt[i] = -1;
@@ -448,7 +521,8 @@ i64 run_kernel(
 
         /* per-router VC allocation + switch allocation + traversal */
         for (i64 i = 0; i < count; i++) {
-            if (!buffered[i] || wake[i] > cycle) continue;
+            if (!buffered[i] || wake[i] > cycle || (gating && gated[i]))
+                continue;
             int acted = 0;
             i64 min_wait = NEVER;
             i64 base_g = i * slots;
@@ -529,7 +603,7 @@ i64 run_kernel(
                         va_ptr[i * 5 + out_p] = (s + 1) % slots;
                         vap[i] &= ~(1LL << s);
                         acted = 1;
-                        if (win) counters[i * 4 + 3]++;
+                        if (win) counters[i * 5 + 3]++;
                     }
                 }
             }
@@ -563,6 +637,17 @@ i64 run_kernel(
                         }
                     }
                     if (credits[base_g + os] <= 0) continue;
+                    if (gating && os >= vcs) {
+                        i64 down = neighbor[i * 5 + os / vcs];
+                        if (gated[down]) {
+                            /* blocked on a gated next hop: wake it and
+                             * try this input port's next VC */
+                            REQUEST_WAKE(down);
+                            if (wake_at[down] < min_wait)
+                                min_wait = wake_at[down];
+                            continue;
+                        }
+                    }
                     nom_in[n_nom] = in_p; nom_v[n_nom] = v;
                     nom_s[n_nom] = s; nom_os[n_nom] = os;
                     n_nom++;
@@ -620,7 +705,7 @@ i64 run_kernel(
                 }
                 buffered[i]--;
                 credits[base_g + os]--;
-                if (win) counters[i * 4 + 1]++;
+                if (win) counters[i * 5 + 1]++;
                 int is_tail = fi == length - 1;
                 if (in_p) {  /* return a credit upstream at +1 */
                     i64 up = neighbor[i * 5 + in_p];
@@ -650,7 +735,7 @@ i64 run_kernel(
                         }
                     }
                 } else {         /* link traversal, arrival at +2 */
-                    if (win) counters[i * 4 + 2]++;
+                    if (win) counters[i * 5 + 2]++;
                     if (fi == 0) row->hops++;
                     i64 out_p = os / vcs;
                     i64 down = neighbor[i * 5 + out_p];
@@ -664,6 +749,7 @@ i64 run_kernel(
                 sa_in[i * 5 + in_p] = v + 1 < vcs ? v + 1 : 0;
                 sa_out[i * 5 + os / vcs] = (in_p + 1) % 5;
             }
+            if (gating) last_active[i] = cycle;
             wake[i] = cycle + 1;
         }
 
@@ -696,6 +782,11 @@ i64 run_kernel(
     out[5] = dropped;
     out[6] = n_s;
     out[7] = n_sv;
+    out[8] = gates;
+    out[9] = wakes;
+    out[10] = gated_cycles;
+    if (!gating)
+        for (i64 i = 0; i < count; i++) counters[i * 5 + 4] = win_cycles;
     memcpy(ej_out, ej_cum, (size_t)count * sizeof(i64));
     memcpy(inj_out, inj_cum, (size_t)count * sizeof(i64));
 
@@ -703,16 +794,28 @@ done:
     free(f_arr); free(f_idx); free(f_pkt); free(rh); free(fl);
     free(vc_out); free(vc_elig); free(owner); free(credits);
     free(va_ptr); free(sa_in); free(sa_out); free(occ); free(vap);
-    free(buffered); free(ej_cum); free(inj_cum); free(wake); free(qhead);
-    free(qtail); free(cur_pkt); free(cur_idx); free(cur_vc); free(ni_ptr);
-    free(cring); free(aring); free(rows);
+    free(buffered); free(ej_cum); free(inj_cum); free(wake); free(gated);
+    free(wake_at); free(last_active); free(qhead); free(qtail);
+    free(cur_pkt); free(cur_idx); free(cur_vc); free(ni_ptr); free(cring);
+    free(aring); free(rows);
     return status;
 }
 #undef ENQUEUE
 #undef CAPTURE
+#undef REQUEST_WAKE
+
+/* the body is inlined twice with `gating` a compile-time constant, so a
+ * run without a gating policy executes the loop without its checks */
+i64 run_kernel(KERNEL_PARAMS)
+{
+    return idle_timeout >= 0 ? kernel(1, KERNEL_ARGS)
+                             : kernel(0, KERNEL_ARGS);
+}
+#undef KERNEL_PARAMS
+#undef KERNEL_ARGS
 """
 
-_OUT_LEN = 8  # scalars the kernel writes to `out`
+_OUT_LEN = 11  # scalars the kernel writes to `out`
 
 _lock = threading.Lock()
 _lib = None
@@ -768,6 +871,7 @@ def _build() -> ctypes.CDLL:
         c64, c64,                    # interval, s_cap
         ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, s_inj
         ptr, ptr,                    # ej_out, inj_out
+        c64, ptr, ptr,               # idle_timeout, protect, s_gated
     ]
     return lib
 
@@ -863,36 +967,48 @@ def _traffic_inputs(traffic):
     return pattern, perm, index[traffic.hotspot_endpoint]
 
 
-def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
-    """Run ``spec`` on the compiled kernel; None means "use the fallback".
+def execute(
+    spec: SimulationSpec, telemetry=None, gating_policy=None
+) -> SimulationResult | None:
+    """Run ``spec`` on the compiled kernel; None means "not covered".
 
-    Returns None -- meaning "run the pure-Python flat engine instead" --
-    when the kernel is unavailable, when the configuration exceeds its
-    fixed-width state (more than ``_MAX_VCS`` virtual channels), or when
-    the endpoint list repeats a node (the kernel indexes endpoints by
-    position).  A run is a chain of fresh-network kernel segments, one
-    per region configuration: a fault boundary in the reference engine
-    tears the network down and rebuilds it on the reconfigured region,
-    re-injecting every surviving packet through the normal NI path, so
-    the only state that crosses a boundary is the survivor list, the
-    MT19937 state, the fault counters and the cumulative telemetry.
-    Between segments the driver replays the reference's
-    drop-and-retransmit policy.  Gated runs never reach this function
-    (the policy is a Python object the kernel cannot call back into
-    every cycle).  With active telemetry the kernel batches
-    per-interval activity captures and the driver replays them as the
-    spans, samples and metrics the Python kernels emit.
+    Returns None -- meaning "run the reference engine instead" -- when
+    the kernel is unavailable (see :func:`available`), when the
+    configuration exceeds its fixed-width state (more than ``_MAX_VCS``
+    virtual channels), when the endpoint list repeats a node (the kernel
+    indexes endpoints by position), or when ``gating_policy`` is not
+    exactly a :class:`~repro.noc.power_gating.TimeoutGatingPolicy` with
+    an integer ``idle_timeout`` (the kernel runs that policy's rules,
+    not arbitrary Python).  A run is a chain of fresh-network kernel
+    segments, one per region configuration: a fault boundary in the
+    reference engine tears the network down and rebuilds it on the
+    reconfigured region, re-injecting every surviving packet through the
+    normal NI path, so the only state that crosses a boundary is the
+    survivor list, the MT19937 state, the fault and gating counters and
+    the cumulative telemetry.  Between segments this function replays
+    the reference's drop-and-retransmit policy.  The policy's ``stats`` are
+    updated once the whole chain has run, so a declined run leaves them
+    for the reference engine to count.  With active telemetry the
+    kernel batches per-interval activity captures, replayed here as the
+    spans, samples and metrics the reference emits.
     """
     from repro.core.faults import reconfigured_topology
+    from repro.noc.power_gating import TimeoutGatingPolicy
     from repro.telemetry import active as _active_telemetry
 
+    idle_timeout, protected = -1, frozenset()
+    if gating_policy is not None:
+        if (type(gating_policy) is not TimeoutGatingPolicy
+                or type(gating_policy.idle_timeout) is not int):
+            return None
+        # idle spans are never negative, so clamping changes no decision
+        idle_timeout = min(max(gating_policy.idle_timeout, 0), 1 << 62)
+        protected = gating_policy.protected_nodes
     cfg = spec.config
     vcs = cfg.vcs_per_port
-    if vcs > _MAX_VCS:
+    if vcs > _MAX_VCS or not available():
         return None
-    lib = _load()
-    if lib is None:
-        return None
+    lib = _lib
     traffic = spec.traffic.build()
     endpoints = traffic.endpoints
     n_ep = len(endpoints)
@@ -928,6 +1044,7 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     hops_stats = RunningStats()
     latencies: list[int] = []
     activity = NetworkActivity()
+    gating_totals = [0, 0, 0]  # gate events, wake events, gated cycles
     segments: list[dict] = []  # per-segment telemetry replay payloads
     reconf_events: list[tuple[int, int]] = []  # (boundary cycle, new level)
 
@@ -962,14 +1079,17 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         survivors = np.empty(max(sv_cap, 1) * 5, dtype=np.int64)
         ej_lat = np.empty(max(ej_cap, 1), dtype=np.int64)
         ej_hops = np.empty(max(ej_cap, 1), dtype=np.int64)
-        kcounters = np.zeros(count * 4, dtype=np.int64)
+        kcounters = np.zeros(count * 5, dtype=np.int64)
         s_cycle = np.empty(s_cap, dtype=np.int64)
         s_inflight = np.empty(s_cap, dtype=np.int64)
         s_occ = np.empty(s_cap * count, dtype=np.int64)
         s_ej = np.empty(s_cap * count, dtype=np.int64)
         s_inj = np.empty(s_cap * count, dtype=np.int64)
+        s_gated = np.empty(s_cap * count, dtype=np.int64)
         ej_out = np.empty(count, dtype=np.int64)
         inj_out = np.empty(count, dtype=np.int64)
+        protect = np.array([node in protected for node in nodes],
+                           dtype=np.int64)
         status = lib.run_kernel(
             count, vcs, depth, mesh_size, neighbor, route, _REV,
             n_ep, ep_router, ep_node, perm,
@@ -977,20 +1097,19 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
             seg_start, stop, warmup, measure_end, deadline, n_seed, seeds,
             out, survivors, ej_lat, ej_hops, kcounters, interval, s_cap,
             s_cycle, s_inflight, s_occ, s_ej, s_inj, ej_out, inj_out,
+            idle_timeout, protect, s_gated,
         )
         if status != 0:
             return None  # nothing emitted yet; fall back cleanly
         (seg_cycles, flags, n_ej, seg_created, seg_flits, seg_dropped,
-         n_s, n_sv) = out.tolist()
+         n_s, n_sv, *seg_gating) = out.tolist()
+        gating_totals = [a + b for a, b in zip(gating_totals, seg_gating)]
 
-        # fold this segment's activity and (analytic) powered cycles
-        stopped = bool(flags & _FLAG_BOUNDARY)
-        span = (min(stop, measure_end) if stopped else measure_end) - max(
-            seg_start, warmup
-        )
+        # fold this segment's activity counters (buffer reads double as
+        # crossbar traversals and switch arbitrations, as in the reference)
         per_router = kcounters.tolist()
         for i, node in enumerate(nodes):
-            writes, reads, links, grants = per_router[i * 4:i * 4 + 4]
+            writes, reads, links, grants, powered = per_router[i * 5:i * 5 + 5]
             ra = activity.router(node)
             ra.buffer_writes += writes
             ra.buffer_reads += reads
@@ -998,8 +1117,7 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
             ra.switch_arbitrations += reads
             ra.link_traversals += links
             ra.vc_allocations += grants
-            if span > 0:
-                ra.cycles_powered += span
+            ra.cycles_powered += powered
 
         created_measured += seg_created
         measured_ejected += n_ej
@@ -1013,11 +1131,11 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         if tel is not None:
             segments.append(dict(
                 nodes=nodes, n_s=n_s, s_cycle=s_cycle, s_inflight=s_inflight,
-                s_occ=s_occ, s_ej=s_ej, s_inj=s_inj, ej_out=ej_out,
-                inj_out=inj_out,
+                s_occ=s_occ, s_ej=s_ej, s_inj=s_inj, s_gated=s_gated,
+                ej_out=ej_out, inj_out=inj_out,
             ))
 
-        if not stopped:
+        if not flags & _FLAG_BOUNDARY:
             cycles_run = seg_cycles
             break
 
@@ -1047,6 +1165,11 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     saturated = (
         measured_ejected < created_measured - counters["lost_measured"]
     )
+    if gating_policy is not None:
+        stats = gating_policy.stats
+        stats.gate_events += gating_totals[0]
+        stats.wake_events += gating_totals[1]
+        stats.gated_router_cycles += gating_totals[2]
 
     if tel is not None:
         _emit_run_telemetry(
@@ -1089,9 +1212,11 @@ def _emit_run_telemetry(
 ) -> None:
     """Replay a run's batched activity capture as telemetry.
 
-    Reconstructs what the Python kernels emit live: the simulate/phase
-    span tree, one sample event per captured instant, and the end-of-run
-    metrics fold.  The kernel steps every cycle in ``[0, cycles_run)``,
+    Reconstructs what the reference engine emits live: the
+    simulate/phase span tree, one sample event per captured instant
+    (a router gated at the instant is charged the whole sampling
+    interval, as the reference sampler does), and the end-of-run metrics
+    fold.  The kernel steps every cycle in ``[0, cycles_run)``,
     so the phase transitions happen at the thresholds themselves
     whenever the run reached them, and a reconfigure span lands in the
     reference order: boundary processing precedes the phase check, so a
@@ -1102,7 +1227,6 @@ def _emit_run_telemetry(
     injections).
     """
     from repro.noc.backends.reference import _record_sim_metrics
-    from repro.noc.backends.vectorized import _emit_flat_sample
 
     warmup = spec.warmup_cycles
     measure_end = warmup + spec.measure_cycles
@@ -1146,6 +1270,7 @@ def _emit_run_telemetry(
 
     inj: dict[int, int] = {}
     ej: dict[int, int] = {}
+    gated_cycles: dict[int, int] = {}
     for seg in segments:
         nodes = seg["nodes"]
         count = len(nodes)
@@ -1153,6 +1278,7 @@ def _emit_run_telemetry(
         s_occ = seg["s_occ"][:n_s * count].tolist()
         s_ej = seg["s_ej"][:n_s * count].tolist()
         s_inj = seg["s_inj"][:n_s * count].tolist()
+        s_gated = seg["s_gated"][:n_s * count].tolist()
         for k, (c, in_flight) in enumerate(zip(
             seg["s_cycle"][:n_s].tolist(), seg["s_inflight"][:n_s].tolist()
         )):
@@ -1167,7 +1293,8 @@ def _emit_run_telemetry(
             }
             _emit_flat_sample(
                 tel, sim_span.id, c, nodes, s_occ[base:base + count],
-                in_flight, inj_map, ej_map,
+                s_gated[base:base + count], in_flight, inj_map, ej_map,
+                gated_cycles,
             )
         for totals, final in ((inj, seg["inj_out"]), (ej, seg["ej_out"])):
             for node, flits in zip(nodes, final.tolist()):
@@ -1177,7 +1304,7 @@ def _emit_run_telemetry(
     _record_sim_metrics(
         tel, cycles_run, created_measured,
         {"measured": measured_ejected, "measured_flits": measured_flits},
-        counters, saturated, inj, ej, {},
+        counters, saturated, inj, ej, gated_cycles,
     )
     phase_span.annotate(end_cycle=cycles_run)
     phase_span.end()
@@ -1188,6 +1315,40 @@ def _emit_run_telemetry(
         reconfigurations=counters["reconfigurations"],
     )
     sim_span.end()
+
+
+def _emit_flat_sample(
+    tel, span_id, cycle, nodes, occupancy, gated, in_flight, inj_flits,
+    ej_flits, gated_cycles,
+) -> None:
+    """One captured sample, byte-compatible with the reference backend's
+    :func:`~repro.noc.backends.reference._emit_router_sample` payload."""
+    interval = tel.sample_interval
+    routers = {}
+    for node, occ, is_gated in zip(nodes, occupancy, gated):
+        if is_gated:
+            gated_cycles[node] = gated_cycles.get(node, 0) + interval
+        routers[str(node)] = {
+            "inj": inj_flits.get(node, 0),
+            "ej": ej_flits.get(node, 0),
+            "occ": occ,
+            "gated": is_gated,
+        }
+    buffered_total = sum(occupancy)
+    tel.metrics.histogram(
+        "noc_buffer_occupancy_flits",
+        help="total buffered flits at sample instants",
+        buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512),
+    ).observe(buffered_total)
+    tel.tracer.sample(
+        {
+            "cycle": cycle,
+            "in_flight": in_flight,
+            "buffered": buffered_total,
+            "routers": routers,
+        },
+        parent=span_id,
+    )
 
 
 __all__ = ["available", "execute"]

@@ -5,11 +5,13 @@ is the single entry point every caller -- the sweep engine, the CMP model,
 the CLI, the benchmarks -- goes through to run a network simulation.  The
 actual engine is looked up in the backend registry
 (:mod:`repro.noc.backends`) by name: ``"reference"`` is the cycle-accurate
-object-model simulator and the default; ``"vectorized"`` is the flat-array
-fast path.  The spec's declared capability needs (faults, gating,
-adaptive routing, telemetry sampling) are checked against the chosen
-backend before the run starts, so a fast path declines what it cannot
-simulate instead of silently mis-simulating it.
+object-model simulator and the default; ``"vectorized"`` is the compiled
+fast path (:mod:`repro.noc.backends.native`), which hands the runs its
+kernel does not cover to the reference engine.  The spec's declared
+capability needs (faults, gating, adaptive routing, telemetry sampling)
+are checked against the chosen backend before the run starts, so a fast
+path declines what it cannot simulate instead of silently
+mis-simulating it.
 
 The warmup / measure / drain methodology itself lives with the backends
 (see :mod:`repro.noc.backends.reference`); :class:`SimulationResult` is
@@ -101,10 +103,13 @@ def run_simulation(
 
     ``routing`` is ``"cdor"``, ``"xy"``, or one of the adaptive turn models
     (``"west_first"``, ``"negative_first"``; full mesh only).
-    ``gating_policy``, if given, is a
-    :class:`repro.noc.power_gating.GatingPolicy` driven once per cycle (used
-    by the run-time power-gating ablation; the main NoC-sprinting experiments
-    power-gate statically by never instantiating dark routers).
+    ``gating_policy``, if given, is an object whose ``step(network)`` is
+    driven once per cycle, such as
+    :class:`repro.noc.power_gating.TimeoutGatingPolicy` (used by the
+    run-time power-gating ablation; the main NoC-sprinting experiments
+    power-gate statically by never instantiating dark routers).  The
+    vectorized backend runs a ``TimeoutGatingPolicy`` inside its C kernel
+    and any other policy on the reference engine.
     """
     if isinstance(topology, SimulationSpec):
         return simulate(topology, gating_policy=gating_policy,

@@ -39,6 +39,7 @@ from repro.noc.backends import (
     resolve_backend,
     supports,
 )
+from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.sim import simulate, run_simulation, zero_load_cache, zero_load_latency
 from repro.noc.spec import (
     FaultEvent,
@@ -357,6 +358,35 @@ def assert_identical(a, b, label):
         assert da[name] == db[name], f"{label}: field {name!r} diverges"
 
 
+def spy_on_kernel(monkeypatch):
+    """Record what every ``native.execute`` call returns (None when it
+    declines the run and the reference engine takes it)."""
+    from repro.noc.backends import native
+
+    returned = []
+    execute = native.execute
+
+    def spy(*args, **kwargs):
+        returned.append(execute(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(native, "execute", spy)
+    return returned
+
+
+class StepCountingPolicy(TimeoutGatingPolicy):
+    """Timeout gating with its own ``step``: arbitrary per-cycle Python
+    the kernel must not stand in for."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.steps = 0
+
+    def step(self, network):
+        self.steps += 1
+        super().step(network)
+
+
 EQUIV_CASES = [
     # (level, rate, pattern, routing)
     (16, 0.05, "uniform", "xy"),
@@ -392,17 +422,33 @@ class TestCrossBackendEquivalence:
         assert ref.saturated and fast.saturated
         assert_identical(ref, fast, "saturated")
 
-    def test_python_fallback_agrees(self, monkeypatch):
-        """With the native kernel disabled the pure-Python vectorized path
-        must produce the same bits."""
-        from repro.noc.backends import native
-
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
-        assert not native.available()
+    @pytest.mark.parametrize("route", [
+        "native-disabled", "vcs-above-max", "repeated-endpoint",
+        "policy-subclass",
+    ])
+    def test_reference_fallback_agrees(self, route, monkeypatch):
+        """Every run the kernel does not cover declines it and runs on the
+        reference engine, with the same bits."""
         spec = make_spec(level=8, rate=0.2, seed=3)
-        fast = simulate(spec, backend="vectorized")
-        monkeypatch.delenv("REPRO_NOC_NATIVE")
-        assert_identical(simulate(spec, backend="reference"), fast, "fallback")
+        if route == "native-disabled":
+            monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+        elif route == "vcs-above-max":
+            spec = dataclasses.replace(spec, config=NoCConfig(vcs_per_port=13))
+        elif route == "repeated-endpoint":
+            spec = dataclasses.replace(spec, traffic=dataclasses.replace(
+                spec.traffic, endpoints=(0, 1, 1, 4)))
+        gated = route == "policy-subclass"
+        fast_policy = StepCountingPolicy(idle_timeout=16) if gated else None
+        ref_policy = StepCountingPolicy(idle_timeout=16) if gated else None
+        returned = spy_on_kernel(monkeypatch)
+        fast = simulate(spec, gating_policy=fast_policy, backend="vectorized")
+        assert returned == [None]
+        monkeypatch.delenv("REPRO_NOC_NATIVE", raising=False)
+        ref = simulate(spec, gating_policy=ref_policy, backend="reference")
+        assert_identical(ref, fast, route)
+        if gated:
+            assert fast_policy.steps == fast.cycles_run  # its step ran
+            assert fast_policy.stats == ref_policy.stats
 
     def test_spec_backend_field_selects_engine(self):
         spec = make_spec(level=4, rate=0.1, seed=7)
@@ -459,8 +505,6 @@ class TestFullCapabilityEquivalence:
 
     @staticmethod
     def _gated_pair(spec):
-        from repro.noc.power_gating import TimeoutGatingPolicy
-
         ref_policy = TimeoutGatingPolicy(idle_timeout=16)
         fast_policy = TimeoutGatingPolicy(idle_timeout=16)
         ref = simulate(spec, gating_policy=ref_policy, backend="reference")
@@ -468,20 +512,31 @@ class TestFullCapabilityEquivalence:
         return ref, fast, ref_policy.stats, fast_policy.stats
 
     @pytest.mark.parametrize("level,rate", [(16, 0.05), (16, 0.30), (9, 0.08)])
-    def test_gated_runs_bit_identical(self, level, rate):
+    def test_gated_runs_bit_identical(self, level, rate, monkeypatch):
+        returned = spy_on_kernel(monkeypatch)
         spec = make_spec(level=level, rate=rate, seed=level)
         ref, fast, ref_stats, fast_stats = self._gated_pair(spec)
         assert ref_stats.gate_events > 0  # the policy actually gated
         assert_identical(ref, fast, f"gated L{level} r{rate}")
         assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+        self._assert_on_kernel(returned)
 
-    def test_gated_faulted_run_bit_identical(self):
+    @staticmethod
+    def _assert_on_kernel(returned):
+        from repro.noc.backends import native
+
+        if native.available():
+            assert len(returned) == 1 and returned[0] is not None
+
+    def test_gated_faulted_run_bit_identical(self, monkeypatch):
+        returned = spy_on_kernel(monkeypatch)
         spec = make_spec(level=16, rate=0.05, seed=3, faults=FaultSchedule(
             (FaultEvent(cycle=300, node=5, duration=300),)))
         ref, fast, ref_stats, fast_stats = self._gated_pair(spec)
         assert ref.reconfigurations == 2
         assert_identical(ref, fast, "gated+faulted")
         assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+        self._assert_on_kernel(returned)
 
     def test_faulted_counters_surface_drops(self):
         spec = make_spec(level=16, rate=0.25, seed=5, faults=FaultSchedule(
@@ -521,10 +576,15 @@ class TestSamplingParity:
 
     @pytest.mark.parametrize("case", SAMPLED_CASES)
     def test_python_kernel_matches_reference(self, case, monkeypatch):
+        """With the C kernel disabled, a sampled vectorized run declines it
+        and runs on the pure-Python reference engine, emitting the same
+        samples, spans and metrics."""
         monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+        returned = spy_on_kernel(monkeypatch)
         spec = make_spec(**case)
-        ref, ref_samples, ref_spans, ref_metrics = self._run(spec, "reference")
         fast, samples, spans, metrics = self._run(spec, "vectorized")
+        assert returned == [None]
+        ref, ref_samples, ref_spans, ref_metrics = self._run(spec, "reference")
         assert_identical(ref, fast, f"sampled {case}")
         assert ref_samples == samples
         assert ref_spans == spans
@@ -572,8 +632,7 @@ class TestSamplingParity:
         assert [n for n, _ in streams["reference"]].count("reconfigure") \
             == len(FaultSchedule(events).boundaries())
 
-    def test_saturated_sampled_run_agrees(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+    def test_saturated_sampled_run_agrees(self):
         spec = make_spec(level=16, rate=1.8, routing="xy",
                          warmup=200, measure=400, drain_cycles=500)
         ref, ref_samples, _, _ = self._run(spec, "reference")
@@ -581,11 +640,9 @@ class TestSamplingParity:
         assert ref.saturated and fast.saturated
         assert ref_samples == samples
 
-    def test_gated_sampled_run_agrees(self, monkeypatch):
-        from repro.noc.power_gating import TimeoutGatingPolicy
+    def test_gated_sampled_run_agrees(self):
         from repro.telemetry import Telemetry
 
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
         spec = make_spec(level=16, rate=0.05, seed=3)
         streams = {}
         for backend in ("reference", "vectorized"):
@@ -604,8 +661,7 @@ class TestSamplingParity:
                    for _, samples, _ in [streams["reference"]]
                    for data in samples for stats in data["routers"].values())
 
-    def test_sample_payload_shape(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
+    def test_sample_payload_shape(self):
         _, samples, _, _ = self._run(make_spec(level=4, rate=0.15), "vectorized")
         assert samples
         for data in samples:
@@ -742,7 +798,8 @@ _VARIANTS += [("hotspot", fraction) for fraction in (0.0, 1.0, 0.5)]
 
 @st.composite
 def differential_cases(draw, pattern, hotspot_fraction):
-    """A small ``pattern`` spec plus an optional sampling interval."""
+    """A small ``pattern`` spec plus an optional sampling interval and an
+    optional ``(idle_timeout, protected_nodes)`` timeout-gating draw."""
     level = draw(st.sampled_from(_PATTERN_LEVELS[pattern]))
     side = 2 if level <= 4 and draw(st.booleans()) else 3
     topo = SprintTopology.for_level(side, side, level)
@@ -778,18 +835,30 @@ def differential_cases(draw, pattern, hotspot_fraction):
         measure_cycles=measure, drain_cycles=draw(st.integers(0, 120)),
         faults=faults,
     )
-    return spec, draw(st.sampled_from((7, None, 1, 20)))
+    interval = draw(st.sampled_from((7, None, 1, 20)))
+    gating = draw(st.one_of(st.none(), st.tuples(
+        st.integers(1, 40), st.frozensets(st.sampled_from(nodes)))))
+    return spec, interval, gating
 
 
-def _observed(spec, backend, interval):
-    """A run's result, plus its begin-span stream, samples and metrics
-    when ``interval`` turns sampled telemetry on."""
+def _observed(spec, backend, interval, gating=None):
+    """A run's result and gating statistics, plus its begin-span stream,
+    samples and metrics when ``interval`` turns sampled telemetry on.
+    ``gating`` is ``(idle_timeout, protected_nodes)`` for a fresh
+    :class:`TimeoutGatingPolicy`, or None."""
     from repro.telemetry import Telemetry
 
-    if interval is None:
-        return dataclasses.asdict(simulate(spec, backend=backend)), None
-    tel = Telemetry(sample_interval=interval)
-    result = simulate(spec, backend=backend, telemetry=tel)
+    policy = None
+    if gating is not None:
+        idle_timeout, protected = gating
+        policy = TimeoutGatingPolicy(idle_timeout=idle_timeout,
+                                     protected_nodes=protected)
+    tel = Telemetry(sample_interval=interval) if interval is not None else None
+    result = simulate(spec, gating_policy=policy, backend=backend,
+                      telemetry=tel)
+    stats = dataclasses.asdict(policy.stats) if policy is not None else None
+    if tel is None:
+        return dataclasses.asdict(result), stats, None
     events = tel.tracer.drain()
     spans = [
         (e["name"],
@@ -797,24 +866,26 @@ def _observed(spec, backend, interval):
         for e in events if e["ev"] == "begin"
     ]
     samples = [e["data"] for e in events if e["ev"] == "sample"]
-    return dataclasses.asdict(result), (spans, samples, tel.metrics.snapshot())
+    return (dataclasses.asdict(result), stats,
+            (spans, samples, tel.metrics.snapshot()))
 
 
 class TestGenerativeDifferential:
     """Reference and fast path agree on every generated small spec: all
     seven patterns, rejection-sampled destinations, idle and overloaded
-    rates, hotspot corner cases, mid-window fault boundaries and sampled
-    telemetry (per-router injections compared interval by interval)."""
+    rates, hotspot corner cases, mid-window fault boundaries, timeout
+    gating (statistics included) and sampled telemetry (per-router
+    injections and gating flags compared interval by interval)."""
 
     @pytest.mark.parametrize("pattern,hotspot_fraction", _VARIANTS)
     @settings(max_examples=5, deadline=None, derandomize=True)
     @given(data=st.data())
     def test_fast_path_matches_reference(self, pattern, hotspot_fraction,
                                          data):
-        spec, interval = data.draw(
+        spec, interval, gating = data.draw(
             differential_cases(pattern, hotspot_fraction))
-        assert (_observed(spec, "reference", interval)
-                == _observed(spec, "vectorized", interval))
+        assert (_observed(spec, "reference", interval, gating)
+                == _observed(spec, "vectorized", interval, gating))
 
     def test_fault_boundary_mid_window_carries_the_traffic_stream(self):
         """Two boundaries inside the measure window: the traffic stream

@@ -394,6 +394,42 @@ class TestResumeAndDrain:
         runs = [r for r in self.ledger_runs(tmp_path) if r["kind"] == "sweep"]
         assert len(runs) == 1
 
+    def test_resume_expires_a_lease_left_on_a_done_point(self, tmp_path,
+                                                         capsys):
+        # a worker killed between its `done` append and its lease release
+        # leaves a live lease on a finished point; no worker claims that
+        # point again, so the resumed coordinator must expire the lease
+        # itself or the audit still finds it after completion
+        from repro.cli import main
+
+        queue, cache = tmp_path / "q", tmp_path / "cache"
+        cmd = ["sweep", "--levels", "2", "4", "--rates", "0.1", "0.2",
+               "--workers", "1", "--backend", "vectorized",
+               "--warmup", "100", "--measure", "300", "--drain", "400",
+               "--fabric", str(queue), "--cache-dir", str(cache)]
+        assert main(cmd) == 0
+        # rewind to the half-finished queue a killed coordinator leaves:
+        # no shutdown event, and two points neither claimed nor done
+        table = LeaseTable(queue)
+        keys = table.load()["keys"]
+        undone = set(keys[:2])
+        events, _ = table.read_events(0)
+        table.events_path.write_text("".join(
+            json.dumps(event) + "\n" for event in events
+            if event["ev"] != "shutdown" and event.get("key") not in undone))
+        for key in undone:
+            (cache / f"{key}.pkl").unlink()
+        done_key = keys[-1]
+        table.lease_path(done_key).write_text(json.dumps({
+            "key": done_key, "worker": "w0g0", "attempt": 1,
+            "nonce": "killed", "deadline": time.time() + 60}))
+        capsys.readouterr()
+        code = main(cmd + ["--resume"])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "resumed: 2 points" in out
+        assert audit_queue(queue).ok
+
     def test_sigint_drains_checkpoints_and_exits_5(self, tmp_path):
         proc = subprocess.Popen(
             self.sweep_cmd(tmp_path, ["--workers", "2"]),
