@@ -580,8 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "heartbeating for this long forfeits its point "
                             "(default 10)")
     sweep.add_argument("--quarantine-after", type=int, default=3, metavar="N",
-                       help="quarantine a point after N distinct fabric "
-                            "workers died or errored on it (default 3)")
+                       help="quarantine a point after N failed fabric "
+                            "attempts on it: errors and expired leases, "
+                            "on any worker (default 3)")
 
     worker = sub.add_parser(
         "worker",

@@ -23,10 +23,11 @@ from __future__ import annotations
 import json
 import os
 import pickle
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
+
+from repro.util.durable import create_exclusive, read_json, write_atomic
 
 #: Gauge names exported by :meth:`ResultCache.export_metrics`,
 #: pre-registered on instrumented sweeps so a hit-free run still renders
@@ -235,27 +236,12 @@ class ResultCache:
         self._memory[key] = value
         self.counters.stores += 1
         if self.directory is not None:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            blob = pickle.dumps(value)
             try:
-                with os.fdopen(fd, "wb") as handle:
-                    pickle.dump(value, handle)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                self.counters.bytes_written += os.path.getsize(tmp)
-                os.replace(tmp, self._path(key))
+                write_atomic(self._path(key), blob, fsync=True)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            except BaseException:
-                # e.g. an unpicklable value: don't leak the temp file,
-                # but do surface the caller's bug
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                return
+            self.counters.bytes_written += len(blob)
 
     # ------------------------------------------------------------------
     # JSON side-records (sweep checkpoint manifests): human-readable
@@ -268,15 +254,10 @@ class ResultCache:
         if memo_key in self._memory:
             return self._memory[memo_key]
         if self.directory is not None:
-            path = os.path.join(self.directory, f"{name}.json")
-            if os.path.exists(path):
-                try:
-                    with open(path, encoding="utf-8") as handle:
-                        value = json.load(handle)
-                except (OSError, ValueError):
-                    return None  # torn write: treat as absent
+            value = read_json(os.path.join(self.directory, f"{name}.json"))
+            if value is not None:
                 self._memory[memo_key] = value
-                return value
+            return value
         return None
 
     def put_json(self, name: str, value) -> None:
@@ -284,24 +265,12 @@ class ResultCache:
         same temp-file + fsync + ``os.replace`` discipline as :meth:`put`)."""
         self._memory[f"__json__:{name}"] = value
         if self.directory is not None:
-            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+            text = json.dumps(value, indent=1, sort_keys=True)
             try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(value, handle, indent=1, sort_keys=True)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, os.path.join(self.directory, f"{name}.json"))
+                write_atomic(os.path.join(self.directory, f"{name}.json"),
+                             text.encode("utf-8"), fsync=True)
             except OSError:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+                pass
 
     # ------------------------------------------------------------------
     # claims (singleflight): at most one computer per key at a time
@@ -355,33 +324,28 @@ class ResultCache:
 
     def _begin_disk_claim(self, key: str, claim_ttl_s: float):
         path = self._claim_path(key)
+        stamp = json.dumps({"pid": os.getpid(), "ts": time.time()})
         for attempt in (0, 1):
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
-            except FileExistsError:
-                try:
-                    age = time.time() - os.path.getmtime(path)
-                except OSError:
-                    continue  # released between open and stat: retry once
-                if attempt == 0 and age > claim_ttl_s:
-                    # orphaned claim (holder crashed): take it over
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                    continue
-                return None
+                won = create_exclusive(path, stamp.encode("utf-8"))
             except OSError:
                 return None  # unwritable directory: nobody claims
+            if won:
+                with self._claims_lock:
+                    self._claims.add(key)
+                return CacheClaim(self, key)
             try:
-                os.write(fd, json.dumps(
-                    {"pid": os.getpid(), "ts": time.time()}
-                ).encode("utf-8"))
-            finally:
-                os.close(fd)
-            with self._claims_lock:
-                self._claims.add(key)
-            return CacheClaim(self, key)
+                age = time.time() - os.path.getmtime(path)
+            except OSError:
+                continue  # released between open and stat: retry once
+            if attempt == 0 and age > claim_ttl_s:
+                # orphaned claim (holder crashed): take it over
+                try:
+                    os.unlink(path)
+                except OSError:
+                    pass
+                continue
+            return None
         return None
 
     def _release_claim(self, key: str) -> None:

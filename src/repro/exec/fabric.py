@@ -39,10 +39,10 @@ Failure semantics (at-least-once, recorded exactly once):
   (identical by construction), the first ``done`` event wins the
   accounting, and later duplicates are only counted
   (``fabric_done_duplicates_total``);
-- a point on which ``quarantine_after`` *distinct* workers have died or
-  errored is quarantined (a circuit breaker for poisoned specs) and
-  surfaced as a :class:`~repro.exec.runner.FailedPoint` with its full
-  attempt history;
+- a point with ``quarantine_after`` failed attempts (an ``error``
+  event or an expired lease each count, whichever worker held it) is
+  quarantined (a circuit breaker for poisoned specs) and surfaced as a
+  :class:`~repro.exec.runner.FailedPoint` with its full attempt history;
 - :func:`audit_queue` replays the event log and proves the invariants:
   every seeded point is done or quarantined, every done point has a
   loadable result, no lease outlives the sweep.
@@ -75,7 +75,6 @@ import random
 import signal
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import uuid
@@ -85,6 +84,13 @@ from pathlib import Path
 from repro.exec.cache import ResultCache
 from repro.exec.runner import CHAOS_ENV, _simulate_guarded
 from repro.telemetry.live import shard_of
+from repro.util.durable import (
+    append_line,
+    create_exclusive,
+    read_json,
+    read_lines,
+    write_atomic,
+)
 
 QUEUE_META = "queue.json"
 SPECS_FILE = "specs.pkl"
@@ -93,6 +99,13 @@ LEASES_DIR = "leases"
 RESULTS_DIR = "results"
 WORKERS_DIR = "workers"
 STATE_FILE = "state.json"
+
+#: Coordinator and worker scan period, seconds.
+POLL_S = 0.05
+#: Grace for in-flight points once a drain is requested, seconds.
+DRAIN_TIMEOUT_S = 30.0
+#: Content-derived buckets the live views group points into.
+SHARDS = 8
 
 #: Fabric metric names pre-registered on every instrumented coordinator
 #: run, so a churn-free sweep still renders them (as zeros).
@@ -135,12 +148,7 @@ class FabricConfig:
     queue_dir: str
     workers: int = 2                  # local worker processes (0: external only)
     lease_ttl_s: float = 10.0         # heartbeat-extended claim lifetime
-    heartbeat_s: float | None = None  # default: lease_ttl_s / 3
-    quarantine_after: int = 3         # distinct dead/erroring workers per point
-    poll_s: float = 0.05              # coordinator/worker scan period
-    respawn: bool = True              # keep the local pool at `workers`
-    drain_timeout_s: float = 30.0     # grace for in-flight points on drain
-    shards: int = 8                   # content-derived buckets for live views
+    quarantine_after: int = 3         # failed attempts per point
 
     def __post_init__(self):
         if self.workers < 0:
@@ -149,8 +157,6 @@ class FabricConfig:
             raise ValueError("lease_ttl_s must be positive")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
     def for_batch(self, fingerprint: str) -> "FabricConfig":
         """The same knobs bound to a per-batch queue subdirectory.
@@ -198,34 +204,12 @@ class ChaosPlan:
 
 
 # ----------------------------------------------------------------------
-# the lease table: every filesystem primitive the fabric is built on
+# the lease table: the queue directory's durable state
 # ----------------------------------------------------------------------
 def _write_json_atomic(path: Path, payload, fsync: bool = True) -> None:
-    """Write JSON so a crash at any instant leaves the old or new file."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, sort_keys=True)
-            if fsync:
-                handle.flush()
-                os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _read_json(path: Path):
-    """Parse a JSON file; ``None`` when absent or torn."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
+    """Publish ``payload`` as key-sorted JSON (old file or new, never torn)."""
+    write_atomic(path, json.dumps(payload, sort_keys=True).encode("utf-8"),
+                 fsync)
 
 
 class LeaseTable:
@@ -272,7 +256,7 @@ class LeaseTable:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.leases_dir.mkdir(exist_ok=True)
         (self.directory / WORKERS_DIR).mkdir(exist_ok=True)
-        existing = _read_json(self.meta_path)
+        existing = read_json(self.meta_path)
         if existing is not None:
             if existing.get("fingerprint") != fingerprint:
                 raise QueueError(
@@ -284,7 +268,7 @@ class LeaseTable:
             self._extend_specs(pending)
             return True
         specs = {key: spec for key, spec in pending}
-        self._write_specs(specs)
+        write_atomic(self.directory / SPECS_FILE, pickle.dumps(specs), True)
         self.meta = {
             "version": 1,
             "fingerprint": fingerprint,
@@ -298,28 +282,14 @@ class LeaseTable:
         self.append({"ev": "seed", "total": len(pending)})
         return False
 
-    def _write_specs(self, specs: dict) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(specs, handle)
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.directory / SPECS_FILE)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
     def _extend_specs(self, pending: list[tuple[str, object]]) -> None:
         """On adoption: make sure every currently-pending spec is present."""
         specs = self.specs()
         missing = [(k, s) for k, s in pending if k not in specs]
         if missing:
             specs.update(dict(missing))
-            self._write_specs(specs)
+            write_atomic(self.directory / SPECS_FILE, pickle.dumps(specs),
+                         True)
             keys = list(self.meta.get("keys", ()))
             keys.extend(k for k, _ in missing if k not in keys)
             self.meta = dict(self.meta, keys=keys, total=len(keys))
@@ -327,7 +297,7 @@ class LeaseTable:
 
     def load(self) -> dict:
         """Read the queue metadata (raises :class:`QueueError` if absent)."""
-        meta = _read_json(self.meta_path)
+        meta = read_json(self.meta_path)
         if meta is None or "keys" not in meta:
             raise QueueError(f"no sweep queue at {self.directory} "
                              f"(missing or unreadable {QUEUE_META})")
@@ -356,14 +326,7 @@ class LeaseTable:
         """Append one event as a whole line (O_APPEND, single write)."""
         payload = dict(event)
         payload.setdefault("ts", round(time.time(), 4))
-        line = json.dumps(payload, sort_keys=True,
-                          separators=(",", ":")) + "\n"
-        fd = os.open(self.events_path,
-                     os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-        try:
-            os.write(fd, line.encode("utf-8"))
-        finally:
-            os.close(fd)
+        append_line(self.events_path, payload)
 
     def read_events(self, offset: int = 0) -> tuple[list[dict], int]:
         """Complete events after byte ``offset``, plus the new offset.
@@ -372,24 +335,7 @@ class LeaseTable:
         terminated by a newline are parsed; the offset never advances
         past an incomplete line.
         """
-        try:
-            with open(self.events_path, "rb") as handle:
-                handle.seek(offset)
-                blob = handle.read()
-        except OSError:
-            return [], offset
-        end = blob.rfind(b"\n")
-        if end < 0:
-            return [], offset
-        events = []
-        for line in blob[:end + 1].splitlines():
-            if not line.strip():
-                continue
-            try:
-                events.append(json.loads(line.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
-                continue  # foreign or damaged line: tolerate
-        return events, offset + end + 1
+        return read_lines(self.events_path, offset)
 
     # leases -------------------------------------------------------------
     def claim(self, key: str, worker: str, attempt: int) -> dict | None:
@@ -402,22 +348,19 @@ class LeaseTable:
             "nonce": uuid.uuid4().hex[:12],
             "deadline": time.time() + ttl,
         }
-        path = self.lease_path(key)
         try:
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-        except FileExistsError:
-            return None
+            if not create_exclusive(self.lease_path(key),
+                                    json.dumps(payload).encode("utf-8")):
+                return None
         except OSError:
             return None
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle)
         self.append({"ev": "claim", "key": key, "worker": worker,
                      "attempt": attempt, "nonce": payload["nonce"],
                      "shard": self.shard(key)})
         return payload
 
     def read_lease(self, key: str) -> dict | None:
-        return _read_json(self.lease_path(key))
+        return read_json(self.lease_path(key))
 
     def lease_exists(self, key: str) -> bool:
         return self.lease_path(key).exists()
@@ -447,6 +390,27 @@ class LeaseTable:
             except OSError:
                 pass
 
+    def lease_files(self) -> list[os.DirEntry]:
+        """The lease files currently under ``leases/``."""
+        try:
+            with os.scandir(self.leases_dir) as entries:
+                return [entry for entry in entries
+                        if entry.name.endswith(".json")]
+        except OSError:
+            return []
+
+    def _expire(self, entry: os.DirEntry, lease: dict, **extra) -> dict:
+        """Append an ``expired`` event for ``lease`` and drop its file."""
+        self.append({"ev": "expired", "key": lease["key"],
+                     "worker": lease.get("worker", "unknown"),
+                     "attempt": lease.get("attempt", 0),
+                     "nonce": lease.get("nonce", ""), **extra})
+        try:
+            os.unlink(entry.path)
+        except OSError:
+            pass
+        return lease
+
     def reclaim_expired(self, now: float | None = None,
                         finished: frozenset = frozenset()) -> list[dict]:
         """Expire every lease whose deadline has passed, and at once every
@@ -459,15 +423,9 @@ class LeaseTable:
         now = time.time() if now is None else now
         ttl = float(self.settings.get("lease_ttl_s", 10.0))
         reclaimed = []
-        try:
-            entries = list(os.scandir(self.leases_dir))
-        except OSError:
-            return reclaimed
-        for entry in entries:
-            if not entry.name.endswith(".json"):
-                continue
+        for entry in self.lease_files():
             key = entry.name[:-len(".json")]
-            lease = _read_json(Path(entry.path))
+            lease = read_json(entry.path)
             if lease is None:
                 try:
                     if (entry.stat().st_mtime + ttl > now
@@ -480,15 +438,7 @@ class LeaseTable:
             elif (float(lease.get("deadline", 0.0)) > now
                   and key not in finished):
                 continue
-            self.append({"ev": "expired", "key": lease["key"],
-                         "worker": lease.get("worker", "unknown"),
-                         "attempt": lease.get("attempt", 0),
-                         "nonce": lease.get("nonce", "")})
-            try:
-                os.unlink(entry.path)
-            except OSError:
-                pass
-            reclaimed.append(lease)
+            reclaimed.append(self._expire(entry, lease))
         return reclaimed
 
     def reclaim_worker(self, worker: str) -> list[dict]:
@@ -496,31 +446,14 @@ class LeaseTable:
         dead (the coordinator reaped its process), without waiting for
         the deadline."""
         reclaimed = []
-        try:
-            entries = list(os.scandir(self.leases_dir))
-        except OSError:
-            return reclaimed
-        for entry in entries:
-            lease = _read_json(Path(entry.path))
-            if not lease or lease.get("worker") != worker:
-                continue
-            self.append({"ev": "expired", "key": lease["key"],
-                         "worker": worker,
-                         "attempt": lease.get("attempt", 0),
-                         "nonce": lease.get("nonce", ""), "fast": True})
-            try:
-                os.unlink(entry.path)
-            except OSError:
-                pass
-            reclaimed.append(lease)
+        for entry in self.lease_files():
+            lease = read_json(entry.path)
+            if lease and lease.get("worker") == worker:
+                reclaimed.append(self._expire(entry, lease, fast=True))
         return reclaimed
 
     def active_leases(self) -> int:
-        try:
-            return sum(1 for entry in os.scandir(self.leases_dir)
-                       if entry.name.endswith(".json"))
-        except OSError:
-            return 0
+        return len(self.lease_files())
 
 
 # ----------------------------------------------------------------------
@@ -578,7 +511,7 @@ def _torn_write(cache: ResultCache, key: str) -> None:
 
 
 def worker_main(queue_dir: str, worker_id: str | None = None,
-                poll_s: float = 0.05, wait_s: float = 10.0,
+                poll_s: float = POLL_S, wait_s: float = 10.0,
                 log=None, generation: int = 0) -> int:
     """The fabric worker loop (``repro worker --queue DIR``).
 
@@ -609,7 +542,6 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
     if chaos is not None and chaos.mode == "kill9":
         _arm_kill9(chaos)
     ttl = float(table.settings.get("lease_ttl_s", 10.0))
-    heartbeat_s = float(table.settings.get("heartbeat_s") or ttl / 3.0)
 
     stop = threading.Event()
 
@@ -665,8 +597,7 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
         if claimed is None:
             time.sleep(poll_s)
             continue
-        completed += _run_point(table, cache, specs, claimed, chaos,
-                                heartbeat_s, ttl)
+        completed += _run_point(table, cache, specs, claimed, chaos, ttl)
     for signum, handler in restore.items():
         signal.signal(signum, handler)
     reason = ("signal" if stop.is_set()
@@ -678,8 +609,7 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
 
 
 def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
-               lease: dict, chaos: ChaosPlan | None,
-               heartbeat_s: float, ttl: float) -> int:
+               lease: dict, chaos: ChaosPlan | None, ttl: float) -> int:
     """Execute one leased point end to end; returns 1 on a ``done``."""
     key, worker, attempt = lease["key"], lease["worker"], lease["attempt"]
     shard = table.shard(key)
@@ -697,7 +627,7 @@ def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
             return 0
         # lease survived (nobody reclaimed yet): carry on normally
 
-    heartbeat = _Heartbeat(table, lease, heartbeat_s)
+    heartbeat = _Heartbeat(table, lease, ttl / 3.0)  # three renewals a ttl
     heartbeat.start()
     try:
         # a prior holder may have written the result and died before its
@@ -849,9 +779,9 @@ class FabricCoordinator:
             results_dir=results_dir,
             settings={
                 "lease_ttl_s": config.lease_ttl_s,
-                "heartbeat_s": config.heartbeat_s,
+                "heartbeat_s": None,
                 "quarantine_after": config.quarantine_after,
-                "shards": config.shards,
+                "shards": SHARDS,
             },
         )
         if adopted:
@@ -872,12 +802,36 @@ class FabricCoordinator:
         completed: set[str] = set()
         failed: set[str] = set()
         history: dict[str, list] = {key: [] for key in keys}
-        bad_workers: dict[str, set] = {key: set() for key in keys}
+        # the worker behind each failed attempt (error or expired lease)
+        failed_on: dict[str, list] = {key: [] for key in keys}
         offset = 0
         workers = [self._spawn_worker(slot, 0)
                    for slot in range(config.workers)]
         draining = False
         drain_deadline = None
+
+        def attempt_failed(key: str, worker: str) -> None:
+            """Count one failed attempt; quarantine at the threshold."""
+            if key in completed or key in failed:
+                return
+            failed_on[key].append(worker)
+            if len(failed_on[key]) < config.quarantine_after:
+                return
+            workers_failed = sorted(set(failed_on[key]))
+            table.append({"ev": "quarantine", "key": key,
+                          "workers": workers_failed})
+            failed.add(key)
+            self.stats.quarantined += 1
+            self._count("fabric_quarantined_total")
+            last_error = next((entry for entry in reversed(history[key])
+                               if entry["event"] == "error"), None)
+            detail = (f": last error {last_error['error']}"
+                      if last_error else "")
+            fail(key, "quarantined",
+                 f"{len(failed_on[key])} failed attempt(s) on "
+                 f"{len(workers_failed)} distinct worker(s){detail}",
+                 last_error.get("tb") if last_error else None,
+                 len(failed_on[key]), history=history[key])
 
         def ingest(event: dict) -> None:
             kind = event.get("ev")
@@ -916,20 +870,20 @@ class FabricCoordinator:
             elif kind == "error":
                 self.stats.errors += 1
                 self._count("fabric_worker_errors_total")
-                bad_workers[key].add(worker)
                 history[key].append({"event": "error", "worker": worker,
                                      "error": event.get("error"),
                                      "tb": event.get("tb"),
                                      "ts": event.get("ts")})
+                attempt_failed(key, worker)
             elif kind == "expired":
                 self.stats.expired += 1
                 self._count("fabric_lease_expired_total")
-                bad_workers[key].add(worker)
                 history[key].append({"event": "expired", "worker": worker,
                                      "ts": event.get("ts")})
                 if key not in completed and key not in failed:
                     self.stats.requeued += 1
                     self._count("fabric_requeued_total")
+                attempt_failed(key, worker)
             elif kind == "abandon":
                 history[key].append({"event": "abandon", "worker": worker,
                                      "ts": event.get("ts")})
@@ -953,36 +907,12 @@ class FabricCoordinator:
                         self._count("fabric_worker_deaths_total")
                         table.reclaim_worker(info["id"])
                     work_left = pending_keys - completed - failed
-                    if (config.respawn and not draining and work_left
-                            and not stop.is_set()):
+                    if not draining and work_left and not stop.is_set():
                         alive.append(self._spawn_worker(
                             info["slot"], info["generation"] + 1))
                 workers = alive
 
                 table.reclaim_expired()
-
-                # quarantine circuit breaker
-                for key in list(pending_keys - completed - failed):
-                    if len(bad_workers[key]) >= config.quarantine_after:
-                        table.append({"ev": "quarantine", "key": key,
-                                      "workers": sorted(bad_workers[key])})
-                        failed.add(key)
-                        self.stats.quarantined += 1
-                        self._count("fabric_quarantined_total")
-                        last_error = next(
-                            (entry for entry in reversed(history[key])
-                             if entry["event"] == "error"), None)
-                        detail = (f": last error {last_error['error']}"
-                                  if last_error else "")
-                        fail(
-                            key, "quarantined",
-                            f"{len(bad_workers[key])} distinct worker(s) died "
-                            f"or errored on this point{detail}",
-                            last_error.get("tb") if last_error else None,
-                            len([e for e in history[key]
-                                 if e["event"] == "claim"]),
-                            history=history[key],
-                        )
 
                 self._gauge("fabric_workers_alive", len(workers),
                             "Live local fabric worker processes.")
@@ -996,13 +926,12 @@ class FabricCoordinator:
                     if not draining:
                         draining = True
                         table.append({"ev": "drain"})
-                        drain_deadline = (time.monotonic()
-                                          + config.drain_timeout_s)
+                        drain_deadline = time.monotonic() + DRAIN_TIMEOUT_S
                     if not workers and table.active_leases() == 0:
                         break
                     if time.monotonic() >= drain_deadline:
                         break
-                time.sleep(config.poll_s)
+                time.sleep(POLL_S)
             # final harvest: completions that landed while we were leaving
             events, offset = table.read_events(offset)
             for event in events:

@@ -48,6 +48,7 @@ from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry import Telemetry, TelemetryContext
 from repro.telemetry import active as _active_telemetry
 from repro.telemetry.ledger import Ledger, RunRecord, result_headline
+from repro.util.durable import create_exclusive
 
 #: Environment hook for fault-injecting the harness itself (CI smoke tests
 #: and the runner's own test suite).  Recipes, applied per point with a
@@ -80,9 +81,7 @@ def _maybe_inject_chaos(spec: SimulationSpec) -> None:
         os._exit(17)
     elif mode == "exit-once":
         marker = os.path.join(parts[2], spec.cache_key()[:16] + ".chaos")
-        try:
-            os.close(os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
-        except FileExistsError:
+        if not create_exclusive(marker, b""):
             return  # this point already crashed once: let the retry succeed
         os._exit(17)
 

@@ -1,9 +1,9 @@
 """The ``repro serve`` HTTP front door over :class:`ExperimentService`.
 
-Stdlib ``http.server`` only, the same zero-dependency approach as the
-watch plane's :class:`~repro.telemetry.live.MetricsServer`.  JSON in,
-JSON out; every error response carries one structured shape -- the same
-payload fields as :class:`~repro.noc.backends.BackendCapabilityError`::
+Stdlib ``http.server`` only, on the same :mod:`repro.util.httpd` server
+as the watch plane's :class:`~repro.telemetry.live.MetricsServer`.  JSON
+in, JSON out; every error response carries one structured shape -- the
+same payload fields as :class:`~repro.noc.backends.BackendCapabilityError`::
 
     {"error": {"type": ..., "message": ..., "missing": [...],
                "alternatives": [...]}}
@@ -30,12 +30,12 @@ accounted per client.
 from __future__ import annotations
 
 import json
-import threading
 
 from repro.noc.backends import BackendCapabilityError
 from repro.noc.spec import WireFormatError
 from repro.service.budget import BudgetExhausted, RateLimited
 from repro.service.core import ExperimentService
+from repro.util.httpd import PROMETHEUS_CONTENT_TYPE, QuietHandler, ThreadedServer
 
 #: Default seconds ``POST /v1/evaluate`` blocks before answering 202.
 DEFAULT_WAIT_S = 60.0
@@ -93,129 +93,124 @@ def _wire_value(value) -> dict:
     return {"v": 1, "kind": "opaque", "repr": repr(value)}
 
 
-class ExperimentServer:
-    """A threaded ``http.server`` front end over one ExperimentService.
+def _refusal(kind: str, message: str, **extra) -> dict:
+    """An error body in the one structured shape every refusal shares."""
+    return {"error": {"type": kind, "message": message, "missing": [],
+                      "alternatives": [], **extra}}
 
-    ``port=0`` binds an ephemeral port (``server.port`` reports it);
-    handler threads are daemons, so a hung client never wedges shutdown.
+
+#: Returned by ``_ServiceHandler._read_json`` once it has answered the
+#: request itself; any parsed body, ``None`` included, goes to the decoder.
+_REFUSED = object()
+
+
+class _ServiceHandler(QuietHandler):
+    protocol_version = "HTTP/1.1"
+
+    # -- plumbing ------------------------------------------------------
+    def _client(self) -> str:
+        return self.headers.get(CLIENT_HEADER, "").strip() or "anonymous"
+
+    def _send_json(self, status: int, payload: dict,
+                   headers: dict | None = None) -> None:
+        body = json.dumps(payload, sort_keys=True).encode("utf-8")
+        self.reply(status, body, "application/json; charset=utf-8", headers)
+
+    def _send_error_payload(self, err: Exception) -> None:
+        status, body = error_payload(err)
+        headers = {}
+        if isinstance(err, RateLimited):
+            headers["Retry-After"] = str(
+                max(1, int(err.retry_after_s + 0.999)))
+        self._send_json(status, {"error": body}, headers)
+
+    def _refuse_unread(self, status: int, payload: dict) -> None:
+        """Refuse a request whose body stays unread, and close: the
+        unread bytes would otherwise parse as the next request."""
+        self.close_connection = True
+        self._send_json(status, payload, {"Connection": "close"})
+
+    def _read_json(self):
+        """The parsed request body, or ``_REFUSED`` once answered."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._refuse_unread(400, _refusal(
+                "bad_request",
+                "Content-Length must be a non-negative integer"))
+            return _REFUSED
+        if length > MAX_BODY_BYTES:
+            self._refuse_unread(413, _refusal(
+                "too_large", f"body exceeds {MAX_BODY_BYTES} bytes"))
+            return _REFUSED
+        raw = self.rfile.read(length) if length else b""
+        try:
+            return json.loads(raw.decode("utf-8") or "null")
+        except (UnicodeDecodeError, ValueError):
+            self._send_json(400, _refusal("bad_json",
+                                          "request body is not valid JSON"))
+            return _REFUSED
+
+    # -- GET -----------------------------------------------------------
+    def do_GET(self):  # noqa: N802 (http.server API)
+        outer = self.server.owner
+        outer.service._count("service_requests_total")
+        path = self.path.split("?", 1)[0].rstrip("/")
+        if path == "":
+            self._send_json(200, outer._index())
+        elif path == "/healthz":
+            self._send_json(200, {"ok": True})
+        elif path == "/metrics":
+            self.reply(200, outer.service.metrics_text().encode("utf-8"),
+                       PROMETHEUS_CONTENT_TYPE)
+        elif path.startswith("/v1/results/"):
+            outer._get_result(self, path[len("/v1/results/"):])
+        elif path.startswith("/v1/runs/"):
+            outer._get_run(self, path[len("/v1/runs/"):])
+        elif path.startswith("/v1/sweeps/"):
+            outer._get_sweep(self, path[len("/v1/sweeps/"):])
+        else:
+            self._send_json(404, outer._not_found(path))
+
+    # -- POST ----------------------------------------------------------
+    def do_POST(self):  # noqa: N802 (http.server API)
+        outer = self.server.owner
+        outer.service._count("service_requests_total")
+        path = self.path.split("?", 1)[0].rstrip("/")
+        payload = self._read_json()
+        if payload is _REFUSED:
+            return
+        try:
+            if path == "/v1/evaluate":
+                outer._post_evaluate(self, payload)
+            elif path == "/v1/sweeps":
+                outer._post_sweeps(self, payload)
+            else:
+                self._send_json(404, outer._not_found(path))
+        except Exception as err:  # noqa: BLE001 -- one error schema
+            self._send_error_payload(err)
+
+    def do_PUT(self):  # noqa: N802
+        self._send_json(405, _refusal("method_not_allowed",
+                                      "only GET and POST are supported"))
+
+    do_DELETE = do_PUT
+
+
+class ExperimentServer(ThreadedServer):
+    """The ``repro serve`` HTTP front end over one ExperimentService.
+
     :meth:`stop` also closes the service (drains its executor) when the
     server owns it (``own_service=True``, the CLI default).
     """
 
     def __init__(self, service: ExperimentService, host: str = "127.0.0.1",
                  port: int = 0, own_service: bool = True):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"
-
-            # -- plumbing ----------------------------------------------
-            def _client(self) -> str:
-                return self.headers.get(CLIENT_HEADER, "").strip() or "anonymous"
-
-            def _send_json(self, status: int, payload: dict,
-                           headers: dict | None = None) -> None:
-                body = json.dumps(payload, sort_keys=True).encode("utf-8")
-                self.send_response(status)
-                self.send_header("Content-Type",
-                                 "application/json; charset=utf-8")
-                self.send_header("Content-Length", str(len(body)))
-                for name, value in (headers or {}).items():
-                    self.send_header(name, value)
-                self.end_headers()
-                self.wfile.write(body)
-
-            def _send_error_payload(self, err: Exception) -> None:
-                status, body = error_payload(err)
-                headers = {}
-                if isinstance(err, RateLimited):
-                    headers["Retry-After"] = str(
-                        max(1, int(err.retry_after_s + 0.999)))
-                self._send_json(status, {"error": body}, headers)
-
-            def _read_json(self):
-                length = int(self.headers.get("Content-Length") or 0)
-                if length > MAX_BODY_BYTES:
-                    self._send_json(413, {"error": {
-                        "type": "too_large",
-                        "message": f"body exceeds {MAX_BODY_BYTES} bytes",
-                        "missing": [], "alternatives": [],
-                    }})
-                    return None
-                raw = self.rfile.read(length) if length else b""
-                try:
-                    return json.loads(raw.decode("utf-8") or "null")
-                except (UnicodeDecodeError, ValueError):
-                    self._send_json(400, {"error": {
-                        "type": "bad_json",
-                        "message": "request body is not valid JSON",
-                        "missing": [], "alternatives": [],
-                    }})
-                    return None
-
-            def log_message(self, *args):  # quiet: metrics own the story
-                pass
-
-            # -- GET ---------------------------------------------------
-            def do_GET(self):  # noqa: N802 (http.server API)
-                outer.service._count("service_requests_total")
-                path = self.path.split("?", 1)[0].rstrip("/")
-                if path == "":
-                    self._send_json(200, outer._index())
-                elif path == "/healthz":
-                    self._send_json(200, {"ok": True})
-                elif path == "/metrics":
-                    body = outer.service.metrics_text().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type",
-                        "text/plain; version=0.0.4; charset=utf-8")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                elif path.startswith("/v1/results/"):
-                    outer._get_result(self, path[len("/v1/results/"):])
-                elif path.startswith("/v1/runs/"):
-                    outer._get_run(self, path[len("/v1/runs/"):])
-                elif path.startswith("/v1/sweeps/"):
-                    outer._get_sweep(self, path[len("/v1/sweeps/"):])
-                else:
-                    self._send_json(404, outer._not_found(path))
-
-            # -- POST --------------------------------------------------
-            def do_POST(self):  # noqa: N802 (http.server API)
-                outer.service._count("service_requests_total")
-                path = self.path.split("?", 1)[0].rstrip("/")
-                payload = self._read_json()
-                if payload is None:
-                    return
-                try:
-                    if path == "/v1/evaluate":
-                        outer._post_evaluate(self, payload)
-                    elif path == "/v1/sweeps":
-                        outer._post_sweeps(self, payload)
-                    else:
-                        self._send_json(404, outer._not_found(path))
-                except Exception as err:  # noqa: BLE001 -- one error schema
-                    self._send_error_payload(err)
-
-            def do_PUT(self):  # noqa: N802
-                self._send_json(405, {"error": {
-                    "type": "method_not_allowed",
-                    "message": "only GET and POST are supported",
-                    "missing": [], "alternatives": [],
-                }})
-
-            do_DELETE = do_PUT
-
         self.service = service
         self._own_service = own_service
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
+        super().__init__(_ServiceHandler, host, port)
 
     # ------------------------------------------------------------------
     # endpoint bodies (methods on the server so tests can drive them)
@@ -233,9 +228,12 @@ class ExperimentServer:
 
     @staticmethod
     def _not_found(path: str) -> dict:
-        return {"error": {"type": "not_found",
-                          "message": f"no such endpoint: {path or '/'}",
-                          "missing": [], "alternatives": []}}
+        return _refusal("not_found", f"no such endpoint: {path or '/'}")
+
+    def _failed(self, key: str) -> dict:
+        return _refusal("simulation_failed",
+                        self.service.error(key) or "simulation failed",
+                        key=key)
 
     def _post_evaluate(self, handler, payload) -> None:
         # accept a bare wire document or an {"spec": ..., "wait_s": ...}
@@ -260,11 +258,7 @@ class ExperimentServer:
             return
         state = self.service.status(key)
         if state == "failed":
-            handler._send_json(500, {"error": {
-                "type": "simulation_failed",
-                "message": self.service.error(key) or "simulation failed",
-                "missing": [], "alternatives": [], "key": key,
-            }})
+            handler._send_json(500, self._failed(key))
             return
         handler._send_json(202, {
             "key": key, "status": "running", "sweep_id": ticket.sweep_id,
@@ -302,11 +296,7 @@ class ExperimentServer:
             handler._send_json(202, {"key": key, "status": "running"})
             return
         if state == "failed":
-            handler._send_json(500, {"error": {
-                "type": "simulation_failed",
-                "message": self.service.error(key) or "simulation failed",
-                "missing": [], "alternatives": [], "key": key,
-            }})
+            handler._send_json(500, self._failed(key))
             return
         record = self.service.ledger_lookup(key)
         if record is not None:
@@ -317,10 +307,8 @@ class ExperimentServer:
                                      "run_id": record.run_id,
                                      "headline": record.points[key]})
             return
-        handler._send_json(404, {"error": {
-            "type": "not_found", "message": f"unknown result key {key}",
-            "missing": [], "alternatives": [], "key": key,
-        }})
+        handler._send_json(404, _refusal(
+            "not_found", f"unknown result key {key}", key=key))
 
     def _get_run(self, handler, ref: str) -> None:
         record = self.service.run_record(ref)
@@ -331,25 +319,11 @@ class ExperimentServer:
 
     # ------------------------------------------------------------------
     @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def address(self) -> str:
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    @property
     def url(self) -> str:
         return f"http://{self.address}"
 
-    def start(self) -> "ExperimentServer":
-        self._thread.start()
-        return self
-
     def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        super().stop()
         if self._own_service:
             self.service.close()
 

@@ -14,12 +14,14 @@ snapshot.  :mod:`repro.telemetry.compare` diffs two such records;
 Durability model
 ----------------
 
-Records are appended with a single ``os.write`` on an ``O_APPEND`` file
-descriptor, so concurrent writers (parallel benchmark sessions, two
-``SweepRunner`` processes sharing a ledger directory) interleave whole
-lines, never bytes: the ledger stays valid JSONL without locking.
-:meth:`Ledger.query` skips unparsable lines, so a reader racing a writer
-mid-append sees every committed record and ignores the torn tail.
+Records are appended with :func:`repro.util.durable.append_line`, a
+single ``write(2)`` on an ``O_APPEND`` file descriptor, so concurrent
+writers (parallel benchmark sessions, two ``SweepRunner`` processes
+sharing a ledger directory) interleave whole lines, never bytes: the
+ledger stays valid JSONL without locking.  :meth:`Ledger.query` reads
+only newline-terminated lines and skips unparsable ones, so a reader
+racing a writer mid-append sees every committed record and ignores the
+torn tail.
 
 Recording is best-effort and *never* fails the run it observes: any
 ``OSError`` (read-only filesystem, quota, ...) is swallowed and the run
@@ -36,6 +38,8 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from repro.util.durable import append_line, read_lines
 
 LEDGER_ENV = "REPRO_LEDGER"
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
@@ -224,17 +228,9 @@ class Ledger:
         blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
         run_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         record = RunRecord.from_json(dict(body, run_id=run_id))
-        line = json.dumps(record.to_json(), sort_keys=True,
-                          separators=(",", ":")) + "\n"
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            # O_APPEND + a single write(2): POSIX appends the whole line
-            # atomically, so concurrent recorders never interleave bytes.
-            fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
+            append_line(self.path, record.to_json())
         except OSError:
             return None
         return record
@@ -250,19 +246,12 @@ class Ledger:
         Unparsable lines (a torn tail from a writer caught mid-append) are
         skipped, not raised.
         """
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return []
         records: list[RunRecord] = []
-        for line in raw.split(b"\n"):
-            if not line.strip():
-                continue
+        for payload in read_lines(self.path)[0]:
             try:
-                payload = json.loads(line.decode("utf-8"))
                 record = RunRecord.from_json(payload)
             except (ValueError, KeyError, TypeError):
-                continue  # torn or foreign line: tolerate, don't fail
+                continue  # foreign line: tolerate, don't fail
             if kind is not None and record.kind != kind:
                 continue
             if label is not None and record.label != label:

@@ -34,8 +34,6 @@ chaos -- without perturbing it (the <2 % attach overhead is gated by
 from __future__ import annotations
 
 import html as _html
-import os
-import tempfile
 import threading
 import time
 import zlib
@@ -44,6 +42,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.telemetry.metrics import MetricsRegistry
+from repro.util.durable import read_json, write_atomic
+from repro.util.httpd import PROMETHEUS_CONTENT_TYPE, QuietHandler, ThreadedServer
 
 #: Gauges exported by the watch surfaces, pre-registered so a scrape of
 #: a freshly attached watcher renders every series (as zeros) instead of
@@ -573,27 +573,14 @@ class QueueWatcher:
         )
         return self.aggregator
 
-    def _scan_leases(self) -> list[dict]:
-        from repro.exec.fabric import _read_json
-        leases = []
-        try:
-            entries = list(os.scandir(self.table.leases_dir))
-        except OSError:
-            return leases
-        for entry in entries:
-            if not entry.name.endswith(".json"):
-                continue
-            lease = _read_json(Path(entry.path))
-            if lease is not None:
-                leases.append(lease)
-        return leases
-
     def refresh(self, now: float | None = None) -> SweepView:
         """Ingest everything new and return the current view."""
         aggregator = self.aggregator or self._load()
         events, self.offset = self.table.read_events(self.offset)
         aggregator.fold_many(events)
-        aggregator.lease_scan(self._scan_leases(), now)
+        leases = [read_json(entry.path) for entry in self.table.lease_files()]
+        aggregator.lease_scan([lease for lease in leases if lease is not None],
+                              now)
         return aggregator.snapshot(now)
 
 
@@ -777,17 +764,7 @@ def write_html_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, text.encode("utf-8"), fsync=False)
 
 
 # ----------------------------------------------------------------------
@@ -850,65 +827,29 @@ class LiveMetricsExporter:
 _WORKER_LIVENESS_S = 30.0
 
 
-class MetricsServer:
-    """A minimal, threaded ``/metrics`` endpoint over ``http.server``.
+class _MetricsHandler(QuietHandler):
+    def do_GET(self):  # noqa: N802 (http.server API)
+        path = self.path.split("?", 1)[0].rstrip("/")
+        if path == "/metrics":
+            self.reply(200, self.server.owner._render().encode("utf-8"),
+                       PROMETHEUS_CONTENT_TYPE)
+        elif path == "":
+            self.reply(200, b"repro watch metrics endpoint; scrape /metrics\n",
+                       "text/plain; charset=utf-8")
+        else:
+            self.send_error(404)
 
-    ``port=0`` binds an ephemeral port (``server.port`` reports it);
-    requests are served from a daemon thread so a hung scraper can never
-    stall the watch loop.  Only ``GET /metrics`` (and a bare ``/`` index
-    pointing at it) exist -- this is an exposition endpoint, not a web
-    app.
+
+class MetricsServer(ThreadedServer):
+    """The ``repro watch --serve`` Prometheus endpoint.
+
+    Only ``GET /metrics`` (and a bare ``/`` index pointing at it) exist
+    -- this is an exposition endpoint, not a web app.
     """
 
     def __init__(self, render, host: str = "127.0.0.1", port: int = 0):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        outer = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_GET(self):  # noqa: N802 (http.server API)
-                path = self.path.split("?", 1)[0].rstrip("/")
-                if path == "/metrics":
-                    body = outer._render().encode("utf-8")
-                    ctype = "text/plain; version=0.0.4; charset=utf-8"
-                elif path == "":
-                    body = b"repro watch metrics endpoint; scrape /metrics\n"
-                    ctype = "text/plain; charset=utf-8"
-                else:
-                    self.send_error(404)
-                    return
-                self.send_response(200)
-                self.send_header("Content-Type", ctype)
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args):  # quiet: the dashboard owns stdout
-                pass
-
         self._render = render
-        self._server = ThreadingHTTPServer((host, port), Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        daemon=True)
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    @property
-    def address(self) -> str:
-        """``host:port`` the server is bound to (port resolved when 0)."""
-        host, port = self._server.server_address[:2]
-        return f"{host}:{port}"
-
-    def start(self) -> "MetricsServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+        super().__init__(_MetricsHandler, host, port)
 
 
 def parse_serve_address(text: str) -> tuple[str, int]:

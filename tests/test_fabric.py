@@ -213,8 +213,8 @@ class TestFabricSweep:
     def test_quarantines_poisoned_point_with_history(self, tmp_path,
                                                      monkeypatch):
         # every attempt errors (chaos 'raise' fires inside the simulation
-        # guard in each worker), so distinct workers keep dying on the
-        # same points until the circuit breaker trips
+        # guard in each worker), so failed attempts pile up on the same
+        # points until the circuit breaker trips
         monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
         specs = grid(levels=(2,), rates=(0.1,))
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
@@ -224,7 +224,7 @@ class TestFabricSweep:
         assert report.total_points == len(specs)
         failure = report.failures[0]
         assert failure.kind == "quarantined"
-        assert "2 distinct worker(s)" in failure.error
+        assert "2 failed attempt(s)" in failure.error
         events = [entry["event"] for entry in failure.history]
         assert "claim" in events and "error" in events
         lines = failure.history_lines()
@@ -232,6 +232,29 @@ class TestFabricSweep:
         assert any("raised:" in line for line in lines)
         audit = audit_queue(tmp_path / "q")
         assert audit.ok and audit.quarantined == len(specs)
+
+    def test_quarantines_point_failing_on_its_only_worker(self, tmp_path,
+                                                          monkeypatch):
+        # a worker that raises survives and claims the point again, so
+        # with fewer workers than quarantine_after only a breaker that
+        # counts failed attempts (not distinct workers) ends the sweep;
+        # the watchdog turns a livelock into an interrupted report
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
+        specs = grid(levels=(2,), rates=(0.1,))
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=1,
+                              lease_ttl_s=10.0, quarantine_after=2)
+        runner = SweepRunner(workers=1, fabric=config)
+        watchdog = threading.Timer(20.0, runner.request_stop)
+        watchdog.start()
+        try:
+            report = runner.run(specs)
+        finally:
+            watchdog.cancel()
+        assert not report.interrupted
+        assert [failure.kind for failure in report.failures] == ["quarantined"]
+        failure = report.failures[0]
+        assert failure.attempts == 2
+        assert "2 failed attempt(s) on 1 distinct worker(s)" in failure.error
 
     def test_survives_kill9_worker_churn(self, tmp_path, monkeypatch):
         # workers SIGKILL themselves 0.2-0.5s after starting; the reference

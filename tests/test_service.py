@@ -15,8 +15,11 @@ Three layers under test:
    and ledger-backed retrieval after the cache is lost.
 """
 
+import http.client
 import json
 import os
+import socket
+import statistics
 import threading
 import time
 import urllib.error
@@ -422,6 +425,44 @@ class TestHttpApi:
             # every refusal carries the full structured shape
             assert {"type", "message", "missing",
                     "alternatives"} <= set(doc["error"])
+
+    @pytest.mark.parametrize("length, body, expected_type", [
+        ("0", b"", "wire_format"),       # empty body
+        ("4", b"null", "wire_format"),   # parses, but is no spec
+        ("abc", b"", "bad_request"),     # not an integer
+        ("-1", b"", "bad_request"),      # would read until the client hangs up
+    ])
+    def test_malformed_body_is_answered_within_two_seconds(
+            self, server, length, body, expected_type):
+        host, port = server.address.rsplit(":", 1)
+        request = (f"POST /v1/evaluate HTTP/1.1\r\nHost: {host}\r\n"
+                   f"Content-Length: {length}\r\n\r\n").encode() + body
+        with socket.create_connection((host, int(port)), timeout=2.0) as sock:
+            sock.sendall(request)
+            response = http.client.HTTPResponse(sock)
+            response.begin()  # a status line, or socket.timeout after 2 s
+            doc = json.loads(response.read())
+        assert response.status == 400
+        assert doc["error"]["type"] == expected_type
+        assert {"type", "message", "missing",
+                "alternatives"} <= set(doc["error"])
+
+    def test_keep_alive_requests_are_not_stalled(self, server):
+        # headers and body leaving in two writes let Nagle's algorithm
+        # hold the body for the client's delayed ACK (~40 ms a request)
+        host, port = server.address.rsplit(":", 1)
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        elapsed = []
+        try:
+            for _ in range(6):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read()) == {"ok": True}
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        assert statistics.median(elapsed[1:]) < 0.015, elapsed
 
     def test_rate_limit_answers_429_with_retry_after(self, tmp_path):
         service = ExperimentService(
