@@ -182,25 +182,31 @@ def _grid_specs(levels, rates, patterns, seed, warmup, measure, drain,
 
 
 def _resume_hint(args: argparse.Namespace) -> str:
-    """The exact command that resumes this sweep from its checkpoint."""
+    """The exact command that resumes this sweep from its checkpoint.
+
+    It repeats every flag that defines the specs, the workers or the
+    fabric queue and differs from its default, so the resumed run
+    computes the same cache keys and adopts the same queue.
+    """
+    import shlex
+
     if not args.cache_dir:
         return ("completed points are checkpointed in memory only; re-run "
                 "with --cache-dir to make interrupted sweeps resumable")
-    parts = ["python -m repro sweep"]
-    if args.levels:
-        parts.append("--levels " + " ".join(str(v) for v in args.levels))
-    if args.rates:
-        parts.append("--rates " + " ".join(f"{v:g}" for v in args.rates))
-    if args.patterns:
-        parts.append("--patterns " + " ".join(args.patterns))
-    if args.backend != "reference":
-        parts.append(f"--backend {args.backend}")
-    if args.workers != 1:
-        parts.append(f"--workers {args.workers}")
-    if args.fabric:
-        parts.append(f"--fabric {args.fabric}")
-    parts.append(f"--cache-dir {args.cache_dir} --resume")
-    return "resume with: " + " ".join(parts)
+    defaults = build_parser().parse_args(["sweep"])
+    tokens = ["python", "-m", "repro", "sweep"]
+    for name in ("levels", "rates", "patterns", "seed", "warmup", "measure",
+                 "drain", "backend", "workers", "fabric", "lease_ttl",
+                 "quarantine_after"):
+        value = getattr(args, name)
+        if value != getattr(defaults, name):
+            flag = "--" + name.replace("_", "-")
+            tokens += ([flag, *map(str, value)] if isinstance(value, list)
+                       else [flag, str(value)])
+    for fault in args.fault or ():
+        tokens += ["--fault", fault]
+    tokens += ["--cache-dir", args.cache_dir, "--resume"]
+    return "resume with: " + shlex.join(tokens)
 
 
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:

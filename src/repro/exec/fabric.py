@@ -27,7 +27,6 @@ Queue directory layout::
     leases/K.json   live lease for point K (O_EXCL create = claim)
     results/        default shared ResultCache directory
     workers/        per-worker log files
-    state.json      last coordinator snapshot                    [atomic]
 
 Failure semantics (at-least-once, recorded exactly once):
 
@@ -46,6 +45,10 @@ Failure semantics (at-least-once, recorded exactly once):
 - :func:`audit_queue` replays the event log and proves the invariants:
   every seeded point is done or quarantined, every done point has a
   loadable result, no lease outlives the sweep.
+
+The event log is read in exactly one way, :class:`QueueLog`: the
+coordinator, every worker, the audit and ``repro watch`` all take their
+verdicts and counts from that one fold, so they agree event for event.
 
 Chaos modes (``REPRO_SWEEP_CHAOS``, on top of the ``raise``/``exit``/
 ``hang``/``exit-once`` recipes handled inside the simulation guard):
@@ -78,6 +81,7 @@ import sys
 import threading
 import time
 import uuid
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,7 +102,6 @@ EVENTS_FILE = "events.jsonl"
 LEASES_DIR = "leases"
 RESULTS_DIR = "results"
 WORKERS_DIR = "workers"
-STATE_FILE = "state.json"
 
 #: Coordinator and worker scan period, seconds.
 POLL_S = 0.05
@@ -457,6 +460,126 @@ class LeaseTable:
 
 
 # ----------------------------------------------------------------------
+# the event-log fold
+# ----------------------------------------------------------------------
+class QueueLog:
+    """The one fold of a queue's ``events.jsonl``.
+
+    The coordinator, every worker, :func:`audit_queue` and ``repro
+    watch`` read their verdicts and counts from this fold, by these rules:
+
+    1. a point closes at its first ``done`` or at its quarantine,
+       whichever the log holds first; a later ``done`` is a duplicate;
+    2. every ``error``, and every ``expired`` lease on an open point, is
+       one failed attempt, and the ``quarantine_after``-th closes the
+       point as quarantined (an explicit ``quarantine`` event, which
+       older coordinators wrote, closes it too);
+    3. ``drain`` and ``shutdown`` bind only the coordinator that wrote
+       them: an adopting coordinator's ``resume`` clears them and sets
+       its own ``quarantine_after``;
+    4. ``lost`` -- the coordinator found no loadable result behind a
+       closing ``done`` -- reopens the point.
+
+    Churn counts cover the whole log, earlier coordinators' events
+    included.  With ``keys`` given, events of points never seeded are
+    ignored (their completions are collected in ``foreign``).
+    """
+
+    def __init__(self, keys=None, quarantine_after: int = 3):
+        self.keys = None if keys is None else frozenset(keys)
+        self.quarantine_after = int(quarantine_after)
+        self.offset = 0
+        self.counts = Counter()               # event kind -> events folded
+        self.done: dict[str, dict] = {}       # key -> the done that closed it
+        self.quarantined: set[str] = set()
+        self.attempts = Counter()             # key -> claims seen
+        self.failed_on: dict[str, list] = {}  # key -> worker of each failure
+        self.history: dict[str, list] = {}    # key -> FailedPoint.history
+        self.foreign: set[str] = set()
+        self.total = self.requeued = self.duplicates = 0
+        self.draining = self.shut_down = False
+
+    @classmethod
+    def of(cls, table: LeaseTable) -> "QueueLog":
+        """An empty fold over ``table``'s seeded keys and threshold."""
+        meta = table.meta if table.meta is not None else table.load()
+        return cls(meta["keys"], table.settings.get("quarantine_after") or 3)
+
+    def read(self, table: LeaseTable) -> list[dict]:
+        """Fold every event appended since the last read; returns them."""
+        events, self.offset = table.read_events(self.offset)
+        for event in events:
+            self.fold(event)
+        return events
+
+    def is_open(self, key: str) -> bool:
+        return key not in self.done and key not in self.quarantined
+
+    @property
+    def halted(self) -> bool:
+        """Workers stop claiming: the coordinator drains or has finished."""
+        return self.draining or self.shut_down
+
+    def recovered(self) -> int:
+        """Points closed by an orphaned or already-cached result."""
+        return sum(1 for event in self.done.values()
+                   if event.get("recovered") or event.get("cached"))
+
+    def per_worker(self) -> Counter:
+        """Points closed by each worker's ``done``."""
+        return Counter(event.get("worker", "?")
+                       for event in self.done.values())
+
+    def fold(self, event: dict) -> str | None:
+        """Apply one event; returns the verdict when it closes a point."""
+        kind, key = event.get("ev"), event.get("key")
+        if key is not None and self.keys is not None and key not in self.keys:
+            if kind == "done":
+                self.foreign.add(key)
+            return None
+        self.counts[kind] += 1
+        if kind == "seed":
+            self.total = max(self.total, int(event.get("total") or 0))
+        elif kind == "drain":
+            self.draining = True
+        elif kind == "shutdown":
+            self.shut_down = True
+        elif kind == "resume":
+            self.draining = self.shut_down = False
+            self.quarantine_after = int(event.get("quarantine_after")
+                                        or self.quarantine_after)
+        if key is None:
+            return None
+        if kind == "done" and not self.is_open(key):
+            self.duplicates += 1
+            return None
+        if kind in ("claim", "done", "error", "expired", "abandon"):
+            entry = {name: event[name] for name in ("attempt", "error", "tb")
+                     if name in event}
+            entry.update(event=kind, worker=event.get("worker", "?"),
+                         ts=event.get("ts"))
+            self.history.setdefault(key, []).append(entry)
+        if kind == "claim":
+            self.attempts[key] += 1
+        elif kind == "done":
+            self.done[key] = event
+            return "done"
+        elif kind == "lost":
+            self.done.pop(key, None)
+        elif kind == "quarantine" and self.is_open(key):
+            self.quarantined.add(key)
+            return "quarantined"
+        elif kind in ("error", "expired") and self.is_open(key):
+            self.requeued += kind == "expired"
+            failed = self.failed_on.setdefault(key, [])
+            failed.append(event.get("worker", "?"))
+            if len(failed) >= self.quarantine_after:
+                self.quarantined.add(key)
+                return "quarantined"
+        return None
+
+
+# ----------------------------------------------------------------------
 # worker
 # ----------------------------------------------------------------------
 def _arm_kill9(chaos: ChaosPlan) -> None:
@@ -562,36 +685,20 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
         start = int(hashlib.sha256(worker.encode()).hexdigest()[:8], 16)
         start %= len(keys)
         keys = keys[start:] + keys[:start]
-    done: set[str] = set()
-    quarantined: set[str] = set()
-    claims_seen: dict[str, int] = {}
-    offset = 0
+    log = QueueLog.of(table)
     completed = 0
-    halted = False
-    while not stop.is_set() and not halted:
-        events, offset = table.read_events(offset)
-        for event in events:
-            kind = event.get("ev")
-            if kind == "done":
-                done.add(event["key"])
-            elif kind == "quarantine":
-                quarantined.add(event["key"])
-            elif kind == "claim":
-                claims_seen[event["key"]] = claims_seen.get(event["key"], 0) + 1
-            elif kind in ("drain", "shutdown"):
-                halted = True
-        if halted:
+    while not stop.is_set():
+        log.read(table)
+        if log.halted:
             break
-        outstanding = [key for key in keys
-                       if key not in done and key not in quarantined]
+        outstanding = [key for key in keys if log.is_open(key)]
         if not outstanding:
             break
         claimed = None
         for key in outstanding:
             if table.lease_exists(key):
                 continue
-            attempt = claims_seen.get(key, 0) + 1
-            claimed = table.claim(key, worker, attempt)
+            claimed = table.claim(key, worker, log.attempts[key] + 1)
             if claimed is not None:
                 break
         if claimed is None:
@@ -601,7 +708,7 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
     for signum, handler in restore.items():
         signal.signal(signum, handler)
     reason = ("signal" if stop.is_set()
-              else "halted" if halted else "drained")
+              else "halted" if log.halted else "drained")
     table.append({"ev": "worker-exit", "worker": worker,
                   "points": completed, "reason": reason})
     emit(f"worker {worker} exiting ({reason}): {completed} point(s) done")
@@ -671,7 +778,13 @@ def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
 # ----------------------------------------------------------------------
 @dataclass
 class FabricStats:
-    """Churn accounting for one fabric-mode sweep."""
+    """Churn accounting for one fabric-mode sweep.
+
+    ``workers_spawned``/``worker_deaths`` count this coordinator's local
+    processes; every other field is read from the queue's
+    :class:`QueueLog`, which counts the whole log -- for a resumed queue,
+    the churn of earlier coordinators too.
+    """
 
     workers_spawned: int = 0
     worker_deaths: int = 0
@@ -785,114 +898,51 @@ class FabricCoordinator:
             },
         )
         if adopted:
-            # a previous coordinator died: stale leases (whose holders are
-            # long gone) would otherwise block re-leasing for a full ttl,
-            # and a worker killed between its `done` append and its
-            # release left a live lease on a finished point that no
-            # worker claims again, so it would outlive the sweep
-            events, _ = table.read_events(0)
-            table.reclaim_expired(finished=frozenset(
-                event["key"] for event in events if event.get("ev") == "done"))
+            # the dead coordinator's drain or shutdown bound only it
+            table.append({"ev": "resume",
+                          "quarantine_after": config.quarantine_after})
+        log = QueueLog.of(table)
         transport = ResultCache(directory=table.meta["results_dir"])
         if self.telemetry is not None:
             self.telemetry.metrics.preregister(FABRIC_COUNTER_HELP,
                                                gauges=FABRIC_GAUGE_HELP)
+        open_keys = set(keys)  # pending points not yet completed or failed
 
-        pending_keys = set(keys)
-        completed: set[str] = set()
-        failed: set[str] = set()
-        history: dict[str, list] = {key: [] for key in keys}
-        # the worker behind each failed attempt (error or expired lease)
-        failed_on: dict[str, list] = {key: [] for key in keys}
-        offset = 0
+        def harvest() -> None:
+            """Fold new events; hand the points they close to the runner."""
+            for key in dict.fromkeys(event.get("key")
+                                     for event in log.read(table)):
+                if key not in open_keys or log.is_open(key):
+                    continue
+                if key in log.quarantined:
+                    open_keys.discard(key)
+                    self._quarantine(key, log, fail)
+                    continue
+                result = transport.get(key)
+                if result is None:
+                    # torn or deleted behind its done: reopen the point
+                    # for every reader, so a worker runs it again
+                    table.append({"ev": "lost", "key": key})
+                    continue
+                open_keys.discard(key)
+                complete(key, result,
+                         float(log.done[key].get("elapsed") or 0.0))
+
+        harvest()
+        if adopted:
+            # stale leases (whose holders are long gone) would otherwise
+            # block re-leasing for a full ttl, and a worker killed between
+            # its `done` append and its release left a live lease on a
+            # closed point that no worker claims again
+            table.reclaim_expired(
+                finished=frozenset(log.done).union(log.quarantined))
         workers = [self._spawn_worker(slot, 0)
                    for slot in range(config.workers)]
         draining = False
         drain_deadline = None
-
-        def attempt_failed(key: str, worker: str) -> None:
-            """Count one failed attempt; quarantine at the threshold."""
-            if key in completed or key in failed:
-                return
-            failed_on[key].append(worker)
-            if len(failed_on[key]) < config.quarantine_after:
-                return
-            workers_failed = sorted(set(failed_on[key]))
-            table.append({"ev": "quarantine", "key": key,
-                          "workers": workers_failed})
-            failed.add(key)
-            self.stats.quarantined += 1
-            self._count("fabric_quarantined_total")
-            last_error = next((entry for entry in reversed(history[key])
-                               if entry["event"] == "error"), None)
-            detail = (f": last error {last_error['error']}"
-                      if last_error else "")
-            fail(key, "quarantined",
-                 f"{len(failed_on[key])} failed attempt(s) on "
-                 f"{len(workers_failed)} distinct worker(s){detail}",
-                 last_error.get("tb") if last_error else None,
-                 len(failed_on[key]), history=history[key])
-
-        def ingest(event: dict) -> None:
-            kind = event.get("ev")
-            key = event.get("key")
-            worker = event.get("worker", "?")
-            if key is not None and key not in pending_keys:
-                return  # an earlier incarnation's point, already served
-            if kind == "claim":
-                self.stats.claims += 1
-                self._count("fabric_lease_claims_total")
-                history[key].append({"event": "claim", "worker": worker,
-                                     "attempt": event.get("attempt", 0),
-                                     "ts": event.get("ts")})
-            elif kind == "done":
-                if key in completed:
-                    self.stats.duplicates += 1
-                    self._count("fabric_done_duplicates_total")
-                    return
-                result = transport.get(key)
-                if result is None:
-                    # done event without a loadable result (torn by chaos
-                    # or a foreign writer): leave the point claimable
-                    history[key].append({"event": "done-unreadable",
-                                         "worker": worker,
-                                         "ts": event.get("ts")})
-                    return
-                completed.add(key)
-                if event.get("recovered"):
-                    self.stats.recovered += 1
-                    self._count("fabric_recovered_total")
-                self.stats.per_worker[worker] = (
-                    self.stats.per_worker.get(worker, 0) + 1)
-                history[key].append({"event": "done", "worker": worker,
-                                     "ts": event.get("ts")})
-                complete(key, result, float(event.get("elapsed") or 0.0))
-            elif kind == "error":
-                self.stats.errors += 1
-                self._count("fabric_worker_errors_total")
-                history[key].append({"event": "error", "worker": worker,
-                                     "error": event.get("error"),
-                                     "tb": event.get("tb"),
-                                     "ts": event.get("ts")})
-                attempt_failed(key, worker)
-            elif kind == "expired":
-                self.stats.expired += 1
-                self._count("fabric_lease_expired_total")
-                history[key].append({"event": "expired", "worker": worker,
-                                     "ts": event.get("ts")})
-                if key not in completed and key not in failed:
-                    self.stats.requeued += 1
-                    self._count("fabric_requeued_total")
-                attempt_failed(key, worker)
-            elif kind == "abandon":
-                history[key].append({"event": "abandon", "worker": worker,
-                                     "ts": event.get("ts")})
-
         try:
             while True:
-                events, offset = table.read_events(offset)
-                for event in events:
-                    ingest(event)
+                harvest()
 
                 # reap local workers; fast-reclaim their leases; respawn
                 alive = []
@@ -906,8 +956,7 @@ class FabricCoordinator:
                         self.stats.worker_deaths += 1
                         self._count("fabric_worker_deaths_total")
                         table.reclaim_worker(info["id"])
-                    work_left = pending_keys - completed - failed
-                    if not draining and work_left and not stop.is_set():
+                    if not draining and open_keys and not stop.is_set():
                         alive.append(self._spawn_worker(
                             info["slot"], info["generation"] + 1))
                 workers = alive
@@ -919,7 +968,7 @@ class FabricCoordinator:
                 self._gauge("fabric_leases_active", table.active_leases(),
                             "Leases currently held by workers.")
 
-                if pending_keys <= completed | failed:
+                if not open_keys:
                     table.append({"ev": "shutdown"})
                     break
                 if stop.is_set():
@@ -932,10 +981,7 @@ class FabricCoordinator:
                     if time.monotonic() >= drain_deadline:
                         break
                 time.sleep(POLL_S)
-            # final harvest: completions that landed while we were leaving
-            events, offset = table.read_events(offset)
-            for event in events:
-                ingest(event)
+            harvest()  # completions that landed while we were leaving
         finally:
             for info in workers:
                 proc = info["proc"]
@@ -953,27 +999,45 @@ class FabricCoordinator:
                     info["log"].close()
                 except OSError:
                     pass
-            for worker, points in self.stats.per_worker.items():
-                self._gauge("fabric_worker_points", points,
-                            "Points completed, per fabric worker.",
-                            worker=worker)
-            try:
-                _write_json_atomic(
-                    Path(config.queue_dir) / STATE_FILE,
-                    {
-                        "completed": len(completed),
-                        "quarantined": sorted(failed),
-                        "stats": {
-                            k: v for k, v in vars(self.stats).items()
-                            if k != "per_worker"
-                        },
-                        "per_worker": self.stats.per_worker,
-                        "updated": time.time(),
-                    },
-                )
-            except OSError:
-                pass
+            self._tally(log)
         return self.stats
+
+    @staticmethod
+    def _quarantine(key: str, log: QueueLog, fail) -> None:
+        """Report a point the fold quarantined, with its attempt trail."""
+        failed_on = log.failed_on.get(key, [])
+        history = log.history.get(key, [])
+        last_error = next((entry for entry in reversed(history)
+                           if entry["event"] == "error"), None)
+        detail = f": last error {last_error['error']}" if last_error else ""
+        fail(key, "quarantined",
+             f"{len(failed_on)} failed attempt(s) on "
+             f"{len(set(failed_on))} distinct worker(s){detail}",
+             last_error.get("tb") if last_error else None,
+             len(failed_on), history=history)
+
+    def _tally(self, log: QueueLog) -> None:
+        """Copy the fold's churn counts into the stats and the metrics."""
+        stats, counts = self.stats, log.counts
+        stats.claims, stats.expired = counts["claim"], counts["expired"]
+        stats.errors, stats.requeued = counts["error"], log.requeued
+        stats.duplicates, stats.quarantined = (log.duplicates,
+                                               len(log.quarantined))
+        stats.recovered, stats.per_worker = log.recovered(), log.per_worker()
+        for name, value in (
+            ("fabric_lease_claims_total", stats.claims),
+            ("fabric_lease_expired_total", stats.expired),
+            ("fabric_requeued_total", stats.requeued),
+            ("fabric_done_duplicates_total", stats.duplicates),
+            ("fabric_worker_errors_total", stats.errors),
+            ("fabric_quarantined_total", stats.quarantined),
+            ("fabric_recovered_total", stats.recovered),
+        ):
+            self._count(name, value)
+        for worker, points in stats.per_worker.items():
+            self._gauge("fabric_worker_points", points,
+                        "Points completed, per fabric worker.",
+                        worker=worker)
 
 
 # ----------------------------------------------------------------------
@@ -1029,40 +1093,27 @@ def audit_queue(queue_dir: str | Path,
                 expect_complete: bool = True) -> FabricAudit:
     """Prove the fabric's invariants for one queue directory.
 
-    Replays ``events.jsonl`` and checks, per seeded point: it is done or
-    quarantined (never lost), it is counted at most once (duplicates are
-    tolerated but tallied), its result is actually loadable from the
-    results cache, and no lease survived the sweep.  Raises
-    :class:`QueueError` when the directory is not a queue.
+    Folds ``events.jsonl`` (:class:`QueueLog`) and checks, per seeded
+    point: it is done or quarantined (never lost), it is counted at most
+    once (duplicates are tolerated but tallied), its result is actually
+    loadable from the results cache, and no lease survived the sweep.
+    Raises :class:`QueueError` when the directory is not a queue.
     """
     table = LeaseTable(queue_dir)
     meta = table.load()
     keys = list(meta["keys"])
-    events, _ = table.read_events(0)
-    seeds = 0
-    done_counts: dict[str, int] = {}
-    quarantined: set[str] = set()
-    expired = 0
-    for event in events:
-        kind = event.get("ev")
-        if kind == "seed":
-            seeds += 1
-        elif kind == "done":
-            done_counts[event["key"]] = done_counts.get(event["key"], 0) + 1
-        elif kind == "quarantine":
-            quarantined.add(event["key"])
-        elif kind == "expired":
-            expired += 1
+    log = QueueLog.of(table)
+    log.read(table)
     problems: list[str] = []
-    if seeds != 1:
-        problems.append(f"queue seeded {seeds} times (expected exactly once)")
+    if log.counts["seed"] != 1:
+        problems.append(f"queue seeded {log.counts['seed']} times (expected "
+                        f"exactly once)")
     results_dir = meta.get("results_dir")
     for key in keys:
-        is_done = key in done_counts
-        if not is_done and key not in quarantined and expect_complete:
+        if log.is_open(key) and expect_complete:
             problems.append(f"point {key[:12]} lost: neither done nor "
                             f"quarantined")
-        if is_done and results_dir:
+        if key in log.done and results_dir:
             path = os.path.join(results_dir, f"{key}.pkl")
             try:
                 with open(path, "rb") as handle:
@@ -1071,19 +1122,18 @@ def audit_queue(queue_dir: str | Path,
                     AttributeError, ValueError):
                 problems.append(f"point {key[:12]} done but its result is "
                                 f"missing or unreadable in {results_dir}")
-    foreign = set(done_counts) - set(keys)
-    if foreign:
-        problems.append(f"{len(foreign)} completion(s) for keys never seeded")
+    if log.foreign:
+        problems.append(f"{len(log.foreign)} completion(s) for keys never "
+                        f"seeded")
     active = table.active_leases()
     if active and expect_complete:
         problems.append(f"{active} lease(s) still active after completion")
     return FabricAudit(
         total=len(keys),
-        done=sum(1 for key in keys if key in done_counts),
-        quarantined=len(quarantined & set(keys)),
-        duplicates=sum(count - 1 for count in done_counts.values()
-                       if count > 1),
-        expired=expired,
+        done=len(log.done),
+        quarantined=len(log.quarantined),
+        duplicates=log.duplicates,
+        expired=log.counts["expired"],
         active_leases=active,
         problems=problems,
     )
@@ -1099,6 +1149,7 @@ __all__ = [
     "FabricStats",
     "LeaseTable",
     "QueueError",
+    "QueueLog",
     "audit_queue",
     "chaos_coin",
     "worker_main",

@@ -111,14 +111,6 @@ def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = N
     return ("ok", result, elapsed, payload)
 
 
-def _simulate_timed(spec: SimulationSpec) -> tuple[SimulationResult, float]:
-    """Back-compat wrapper: run one spec and report its wall-clock time."""
-    status = _simulate_guarded(spec)
-    if status[0] == "ok":
-        return status[1], status[2]
-    raise RuntimeError(status[1])
-
-
 #: Sweep-level metric names pre-registered at the start of every
 #: instrumented run, so a clean sweep still renders them (as zeros) in the
 #: Prometheus dump instead of omitting them.
@@ -395,9 +387,6 @@ class SweepRunner:
         self.workers = workers
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
-        self._progress_outcome = (
-            progress is not None and _progress_accepts_outcome(progress)
-        )
         self.max_retries = max_retries
         self.point_timeout = point_timeout
         self.retry_backoff_s = retry_backoff_s
@@ -474,13 +463,19 @@ class SweepRunner:
             if tel is not None and payload:
                 tel.absorb(payload, point_span(key).id)
 
+        # the callback present now serves the whole run, whenever it was
+        # assigned, and its arity decides the contract it gets
+        progress = self.progress
+        with_outcome = (progress is not None
+                        and _progress_accepts_outcome(progress))
+
         def notify(done: int, total: int, point, outcome: str) -> None:
-            if self.progress is None:
+            if progress is None:
                 return
-            if self._progress_outcome:
-                self.progress(done, total, point, outcome)
+            if with_outcome:
+                progress(done, total, point, outcome)
             elif outcome != "failed":
-                self.progress(done, total, point)
+                progress(done, total, point)
 
         points: dict[int, SweepPoint] = {}
         failures: dict[int, FailedPoint] = {}

@@ -2,11 +2,11 @@
 
 ``repro report`` is strictly post-hoc and the fabric's ``events.jsonl``
 is raw; this module is the piece in between -- a streaming aggregator
-that folds the fabric's torn-tail-tolerant event stream (via
+that feeds the fabric's torn-tail-tolerant event stream (via
 :meth:`repro.exec.fabric.LeaseTable.read_events` offsets, so a watcher
-never skips or double-counts an event across partial lines) and the
-local-pool :class:`~repro.exec.runner.SweepRunner` progress callbacks
-into one :class:`SweepView` snapshot:
+never skips or double-counts an event across partial lines) through the
+coordinator's own fold, :class:`repro.exec.fabric.QueueLog`, into one
+:class:`SweepView` snapshot:
 
 - per-worker and per-shard throughput (rolling-window points/s),
 - lease health (live / expiring / reclaimed / quarantined),
@@ -26,8 +26,8 @@ The view is surfaced three ways, all stdlib-only:
   :class:`~repro.telemetry.metrics.MetricsRegistry` text render.
 
 Everything here is read-only with respect to the queue directory: a
-watcher can attach to any sweep -- local pool, fabric, fabric under
-chaos -- without perturbing it (the <2 % attach overhead is gated by
+watcher can attach to any fabric sweep -- running, crashed, finished,
+under chaos -- without perturbing it (the <2 % attach overhead is gated by
 ``benchmarks/bench_extension_fabric.py``).
 """
 
@@ -75,7 +75,7 @@ WATCH_COUNTER_HELP = {
     "fabric_done_duplicates_total": "Duplicate completions observed.",
     "fabric_worker_errors_total": "Worker errors observed.",
     "fabric_worker_spawns_total": "worker-start events observed.",
-    "fabric_quarantined_total": "Quarantine events observed.",
+    "fabric_quarantined_total": "Points quarantined.",
     "fabric_recovered_total": "Completions recovered from orphaned results.",
 }
 
@@ -208,14 +208,13 @@ class LeaseHealth:
 class SweepView:
     """A frozen snapshot of one sweep's progress, renderer-agnostic.
 
-    ``done``/``failed`` count unique point keys and match the
-    coordinator's accounting exactly: the first ``done`` event per key
-    wins, later duplicates only bump ``duplicates`` -- so a finished
-    fabric sweep's view totals equal its
-    :class:`~repro.exec.runner.SweepReport`, chaos or not.
+    ``done``/``failed`` count unique point keys and come from the
+    coordinator's own fold (:class:`repro.exec.fabric.QueueLog`) -- so a
+    finished fabric sweep's view totals equal its
+    :class:`~repro.exec.runner.SweepReport` and its audit, chaos or not.
     """
 
-    source: str                      # "fabric" | "pool"
+    source: str                      # always "fabric"
     queue_dir: str | None
     total: int
     done: int
@@ -302,21 +301,24 @@ class SweepView:
 # the streaming aggregator
 # ----------------------------------------------------------------------
 class LiveAggregator:
-    """Fold sweep events / progress callbacks into :class:`SweepView`\\ s.
+    """Fold fabric events into :class:`SweepView`\\ s.
 
-    Fabric path: feed raw ``events.jsonl`` dicts through :meth:`fold`
-    (the caller owns the ``read_events`` offset, so delivery is
-    exactly-once by construction).  Pool path: hand
-    :meth:`observe_progress` to :class:`~repro.exec.runner.SweepRunner`
-    as its 4-argument progress callback.  Both paths produce the same
-    view model, so every renderer covers every execution mode.
+    Every count comes from the fold the coordinator itself runs
+    (:class:`repro.exec.fabric.QueueLog`, ``log``), so a view agrees with
+    the sweep's report and its audit.  The aggregator adds only what a
+    watcher needs on top: per-worker and per-shard rates, the ETA and the
+    lease scan.  The caller owns the ``read_events`` offset, so delivery
+    is exactly-once by construction.
     """
 
     def __init__(self, *, total: int = 0, keys: tuple[str, ...] = (),
                  shards: int = 0, lease_ttl_s: float = 10.0,
-                 window_s: float = 30.0, source: str = "fabric",
-                 queue_dir: str | None = None):
-        self.source = source
+                 window_s: float = 30.0, queue_dir: str | None = None,
+                 log=None):
+        if log is None:
+            from repro.exec.fabric import QueueLog  # lazy: avoid exec<->telemetry cycle
+            log = QueueLog(keys or None)
+        self.log = log
         self.queue_dir = queue_dir
         self.total = int(total)
         self.shards = int(shards)
@@ -326,30 +328,14 @@ class LiveAggregator:
         for key in keys:
             shard = shard_of(key, self.shards)
             self._shard_totals[shard] = self._shard_totals.get(shard, 0) + 1
-        self._done: set[str] = set()
-        self._quarantined: set[str] = set()
-        self._pool_done = 0
-        self._pool_failed = 0
-        self.cache_hits = 0
-        self.duplicates = 0
-        self.errors = 0
-        self.expired = 0
-        self.requeued = 0
-        self.claims = 0
-        self.worker_spawns = 0
-        self.worker_exits = 0
-        self.complete = False
-        self.draining = False
         self._per_worker: dict[str, dict] = {}
-        self._per_shard: dict[int, dict] = {}
+        self._shard_stamps: dict[int, deque] = {}
         self._lease_live = 0
         self._lease_expiring = 0
-        self._in_flight = 0
         self._first_ts: float | None = None
         self._last_ts: float | None = None
         self.estimator = RateEstimator(window_s=window_s)
 
-    # -- shared helpers -------------------------------------------------
     def _touch(self, ts: float) -> None:
         if self._first_ts is None or ts < self._first_ts:
             self._first_ts = ts
@@ -359,8 +345,7 @@ class LiveAggregator:
     def _worker(self, name: str) -> dict:
         entry = self._per_worker.get(name)
         if entry is None:
-            entry = {"points": 0, "generation": 0, "last_ts": None,
-                     "stamps": deque()}
+            entry = {"generation": 0, "last_ts": None, "stamps": deque()}
             self._per_worker[name] = entry
         return entry
 
@@ -370,82 +355,31 @@ class LiveAggregator:
         while stamps and stamps[0] < horizon:
             stamps.popleft()
 
-    # -- fabric path ----------------------------------------------------
+    def _shard(self, key: str, event: dict) -> int:
+        shard = event.get("shard")
+        return shard_of(key, self.shards) if shard is None else int(shard)
+
     def fold(self, event: dict) -> None:
-        """Ingest one event (same accounting as the coordinator)."""
-        kind = event.get("ev")
+        """Ingest one event: the fold's verdicts plus rate stamps."""
         ts = float(event.get("ts") or time.time())
         self._touch(ts)
-        key = event.get("key")
         worker = event.get("worker")
         if worker:
-            entry = self._worker(worker)
-            entry["last_ts"] = ts
-        if kind == "seed":
-            self.total = max(self.total, int(event.get("total") or 0))
-        elif kind == "worker-start":
-            self.worker_spawns += 1
-            entry = self._worker(worker or "?")
-            entry["generation"] = int(event.get("generation") or 0)
-        elif kind == "worker-exit":
-            self.worker_exits += 1
-        elif kind == "claim":
-            self.claims += 1
-        elif kind == "done":
-            if key in self._done:
-                self.duplicates += 1
-                return
-            self._done.add(key)
-            if event.get("recovered") or event.get("cached"):
-                self.cache_hits += 1
-            entry = self._worker(worker or "?")
-            entry["points"] += 1
-            self._stamp(entry["stamps"], ts)
-            shard = event.get("shard")
-            if shard is None:
-                shard = shard_of(key or "", self.shards)
-            sentry = self._per_shard.setdefault(
-                int(shard), {"done": 0, "stamps": deque()})
-            sentry["done"] += 1
-            self._stamp(sentry["stamps"], ts)
-            self.estimator.observe(ts, len(self._done))
-        elif kind == "error":
-            self.errors += 1
-        elif kind == "expired":
-            self.expired += 1
-            if key is not None and key not in self._done \
-                    and key not in self._quarantined:
-                self.requeued += 1
-        elif kind == "quarantine":
-            if key is not None:
-                self._quarantined.add(key)
-        elif kind == "drain":
-            self.draining = True
-        elif kind == "shutdown":
-            self.complete = True
+            self._worker(worker)["last_ts"] = ts
+        if event.get("ev") == "worker-start":
+            self._worker(worker or "?")["generation"] = int(
+                event.get("generation") or 0)
+        if self.log.fold(event) == "done":
+            self._stamp(self._worker(worker or "?")["stamps"], ts)
+            shard = self._shard(event["key"], event)
+            self._stamp(self._shard_stamps.setdefault(shard, deque()), ts)
+            self.estimator.observe(ts, len(self.log.done))
 
     def fold_many(self, events) -> None:
         for event in events:
             self.fold(event)
 
-    # -- pool path ------------------------------------------------------
-    def observe_progress(self, done: int, total: int, point, outcome: str,
-                         now: float | None = None) -> None:
-        """A 4-argument ``SweepRunner`` progress callback."""
-        now = time.time() if now is None else now
-        self._touch(now)
-        self.total = max(self.total, int(total))
-        if outcome == "failed":
-            self._pool_failed += 1
-        else:
-            self._pool_done += 1
-            if outcome == "cached":
-                self.cache_hits += 1
-            self.estimator.observe(now, self._pool_done)
-        if self._pool_done + self._pool_failed >= self.total:
-            self.complete = True
-
-    # -- lease health (fabric only; fed by the watcher's lease scan) ----
+    # -- lease health (fed by the watcher's lease scan) -----------------
     def lease_scan(self, leases, now: float | None = None) -> None:
         """Bucket the currently held leases into live vs expiring."""
         now = time.time() if now is None else now
@@ -459,18 +393,15 @@ class LiveAggregator:
                 live += 1
         self._lease_live = live
         self._lease_expiring = expiring
-        self._in_flight = live + expiring
 
     # -- snapshot -------------------------------------------------------
     def snapshot(self, now: float | None = None) -> SweepView:
         now = time.time() if now is None else now
-        if self.source == "pool":
-            done, failed = self._pool_done, self._pool_failed
-        else:
-            done = len(self._done)
-            failed = len(self._quarantined - self._done)
-        pending = max(0, self.total - done - failed)
-        complete = self.complete or (self.total > 0 and pending == 0)
+        log = self.log
+        total = max(self.total, log.total)
+        done, failed = len(log.done), len(log.quarantined)
+        pending = max(0, total - done - failed)
+        complete = log.shut_down or (total > 0 and pending == 0)
         elapsed = 0.0
         if self._first_ts is not None:
             last = self._last_ts if complete else max(
@@ -483,56 +414,60 @@ class LiveAggregator:
             span = max(stamps[-1] - stamps[0], 1e-9)
             return (len(stamps) - 1) / span
 
+        per_worker = log.per_worker()
         workers = tuple(
             WorkerView(
                 name=name,
                 generation=entry["generation"],
-                points=entry["points"],
+                points=per_worker.get(name, 0),
                 rate_pps=_rate(entry["stamps"]),
                 last_seen_s=(None if entry["last_ts"] is None
                              else max(0.0, now - entry["last_ts"])),
             )
             for name, entry in sorted(self._per_worker.items())
         )
-        shard_ids = sorted(set(self._shard_totals) | set(self._per_shard))
+        shard_done: dict[int, int] = {}
+        for key, event in log.done.items():
+            shard = self._shard(key, event)
+            shard_done[shard] = shard_done.get(shard, 0) + 1
         shards = tuple(
             ShardView(
                 shard=shard,
                 total=self._shard_totals.get(shard, 0),
-                done=self._per_shard.get(shard, {}).get("done", 0),
-                rate_pps=_rate(self._per_shard.get(
-                    shard, {}).get("stamps", deque())),
+                done=shard_done.get(shard, 0),
+                rate_pps=_rate(self._shard_stamps.get(shard, deque())),
             )
-            for shard in shard_ids
+            for shard in sorted(set(self._shard_totals) | set(shard_done))
         )
+        cache_hits = log.recovered()
         return SweepView(
-            source=self.source,
+            source="fabric",
             queue_dir=self.queue_dir,
-            total=self.total,
+            total=total,
             done=done,
             failed=failed,
             pending=pending,
-            in_flight=self._in_flight,
-            cache_hits=self.cache_hits,
-            cache_hit_rate=(self.cache_hits / done if done else 0.0),
-            duplicates=self.duplicates,
-            errors=self.errors,
-            expired=self.expired,
-            requeued=self.requeued,
-            claims=self.claims,
-            worker_spawns=self.worker_spawns,
-            worker_exits=self.worker_exits,
+            in_flight=self._lease_live + self._lease_expiring,
+            cache_hits=cache_hits,
+            cache_hit_rate=(cache_hits / done if done else 0.0),
+            duplicates=log.duplicates,
+            errors=log.counts["error"],
+            expired=log.counts["expired"],
+            requeued=log.requeued,
+            claims=log.counts["claim"],
+            worker_spawns=log.counts["worker-start"],
+            worker_exits=log.counts["worker-exit"],
             rate_pps=self.estimator.rate(),
             overall_rate_pps=self.estimator.overall_rate(),
             eta_s=(0.0 if complete else self.estimator.eta_s(pending)),
             elapsed_s=elapsed,
             complete=complete,
-            draining=self.draining,
+            draining=log.draining,
             leases=LeaseHealth(
                 live=self._lease_live,
                 expiring=self._lease_expiring,
-                reclaimed=self.expired,
-                quarantined=len(self._quarantined),
+                reclaimed=log.counts["expired"],
+                quarantined=failed,
             ),
             workers=workers,
             shards=shards,
@@ -560,6 +495,8 @@ class QueueWatcher:
         self.aggregator: LiveAggregator | None = None
 
     def _load(self) -> LiveAggregator:
+        from repro.exec.fabric import QueueLog
+
         meta = self.table.load()  # raises QueueError when no queue yet
         settings = meta.get("settings", {})
         self.aggregator = LiveAggregator(
@@ -568,8 +505,8 @@ class QueueWatcher:
             shards=int(settings.get("shards") or 0),
             lease_ttl_s=float(settings.get("lease_ttl_s") or 10.0),
             window_s=self.window_s,
-            source="fabric",
             queue_dir=str(self.table.directory),
+            log=QueueLog.of(self.table),
         )
         return self.aggregator
 
@@ -609,7 +546,7 @@ def render_terminal(view: SweepView, *, color: bool = True) -> str:
              else "DRAINING" if view.draining else "RUNNING")
     state = paint(state, "32" if view.complete and not view.failed
                   else "31" if view.failed else "33")
-    where = view.queue_dir or "local pool"
+    where = view.queue_dir or "queue"
     lines = [
         f"sweep @ {where} -- {state}   "
         f"(updated {time.strftime('%H:%M:%S', time.localtime(view.updated_ts))})",
@@ -723,7 +660,7 @@ def render_html(view: SweepView, refresh_s: float = 2.0) -> str:
     ]
     return _HTML_TEMPLATE.format(
         refresh=int(max(1, refresh_s)),
-        where=_html.escape(view.queue_dir or "local pool"),
+        where=_html.escape(view.queue_dir or "queue"),
         state=_html.escape(state),
         state_color=state_color,
         ok_pct=100.0 * view.done / total,

@@ -1,8 +1,16 @@
 """Tests for the command-line interface."""
 
+import shlex
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import (
+    _grid_specs,
+    _parse_fault,
+    _resume_hint,
+    build_parser,
+    main,
+)
 
 
 class TestParser:
@@ -18,6 +26,32 @@ class TestParser:
         args = build_parser().parse_args(["network"])
         assert args.level == 4
         assert args.pattern == "uniform"
+
+    def test_resume_hint_rebuilds_the_same_sweep(self, tmp_path):
+        def keys(args):
+            specs = _grid_specs(args.levels, args.rates, args.patterns,
+                                args.seed, args.warmup, args.measure,
+                                args.drain,
+                                faults=[_parse_fault(f) for f in args.fault],
+                                backend=args.backend)
+            return [spec.cache_key() for spec in specs]
+
+        args = build_parser().parse_args([
+            "sweep", "--levels", "2", "4", "--rates", "0.1", "0.25",
+            "--patterns", "uniform", "tornado", "--seed", "7",
+            "--warmup", "200", "--measure", "800", "--drain", "1500",
+            "--fault", "1@300:100", "--backend", "vectorized",
+            "--workers", "2", "--fabric", str(tmp_path / "q"),
+            "--quarantine-after", "5", "--cache-dir", str(tmp_path / "c d"),
+        ])
+        hint = _resume_hint(args)
+        assert hint.startswith("resume with: python -m repro sweep ")
+        tokens = shlex.split(hint[len("resume with: "):])
+        again = build_parser().parse_args(tokens[3:])
+        assert again.resume and again.cache_dir == str(tmp_path / "c d")
+        assert (again.fabric, again.workers, again.quarantine_after) == (
+            args.fabric, 2, 5)
+        assert keys(again) == keys(args)
 
 
 class TestCommands:

@@ -225,6 +225,16 @@ class TestSweepRunner:
         runner.run([small_spec(rate=r) for r in (0.05, 0.1)])
         assert seen == [(1, 2), (2, 2)]
 
+    def test_progress_assigned_after_construction_gets_its_arity(self):
+        # the runner was built without a callback: the 4-argument one
+        # assigned later must still be called with its outcome
+        seen = []
+        runner = SweepRunner(workers=1)
+        runner.progress = lambda done, total, point, outcome: seen.append(
+            (done, outcome))
+        runner.run([small_spec(rate=r) for r in (0.05, 0.1)])
+        assert seen == [(1, "simulated"), (2, "simulated")]
+
     def test_disk_cache_spans_runner_instances(self, tmp_path):
         spec = small_spec()
         SweepRunner(cache=ResultCache(directory=str(tmp_path))).run([spec])

@@ -4,8 +4,9 @@ Covers the :mod:`repro.exec.fabric` primitives directly (lease table,
 chaos coin, audit) and the full stack end to end: fabric sweeps equal to
 serial sweeps bit for bit, kill-9 worker churn, poisoned-point
 quarantine, external ``repro worker`` processes joining mid-sweep,
-SIGKILL-the-coordinator resume, and graceful SIGINT drain with the
-distinct exit code.
+SIGKILL-the-coordinator resume, graceful SIGINT drain with the distinct
+exit code, and the resumes the one event-log fold decides: after a
+drain, after a lost result, and after a late completion.
 """
 
 import json
@@ -480,6 +481,105 @@ class TestResumeAndDrain:
             env=run_env(), capture_output=True, text=True, timeout=240)
         assert second.returncode == 0, second.stdout + second.stderr
         assert "resumed:" in second.stdout
+
+    @staticmethod
+    def guarded_run(runner, specs):
+        """Run with a watchdog, so a sweep that never ends fails instead."""
+        watchdog = threading.Timer(20.0, runner.request_stop)
+        watchdog.start()
+        try:
+            return runner.run(specs)
+        finally:
+            watchdog.cancel()
+
+    @staticmethod
+    def rewrite_log(table, keep, extra=()):
+        """Replace the event log with the kept events plus ``extra``."""
+        events, _ = table.read_events(0)
+        table.events_path.write_text("".join(
+            json.dumps(event) + "\n"
+            for event in [*filter(keep, events), *extra]))
+
+    def test_drained_fabric_sweep_resumes(self, tmp_path):
+        # a drain (what SIGINT does) leaves `drain` in the log; the
+        # adopting coordinator must clear it, or every worker it spawns
+        # halts on the old drain and the sweep never finishes
+        specs = grid(levels=(2, 4, 8, 16), rates=(0.1, 0.2, 0.3),
+                     backend="reference", warmup_cycles=400,
+                     measure_cycles=2000, drain_cycles=5000)
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
+                              lease_ttl_s=10.0)
+
+        def runner():
+            return SweepRunner(workers=2, fabric=config, cache=ResultCache(
+                directory=str(tmp_path / "c")))
+
+        first = runner()
+        first.progress = lambda done, total, point: first.request_stop()
+        assert self.guarded_run(first, specs).interrupted
+        report = self.guarded_run(runner(), specs)
+        assert not report.interrupted, report.summary()
+        assert report.ok and report.total_points == len(specs)
+        assert audit_queue(tmp_path / "q").ok
+
+    def test_lost_result_is_simulated_again(self, tmp_path):
+        # a `done` whose result is gone must reopen the point for the
+        # workers too, or they skip it while the coordinator waits for it
+        specs = grid()
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=1,
+                              lease_ttl_s=10.0)
+
+        def runner():
+            return SweepRunner(workers=1, fabric=config, cache=ResultCache(
+                directory=str(tmp_path / "c")))
+
+        assert runner().run(specs).ok
+        # rewind to what a killed coordinator leaves, then lose a result
+        self.rewrite_log(LeaseTable(tmp_path / "q"),
+                         lambda event: event["ev"] != "shutdown")
+        (tmp_path / "c" / f"{specs[0].cache_key()}.pkl").unlink()
+        report = self.guarded_run(runner(), specs)
+        assert not report.interrupted, report.summary()
+        assert report.ok and len(report.points) == len(specs)
+        assert report.simulated == 1
+        assert audit_queue(tmp_path / "q").ok
+
+    def test_late_completion_after_quarantine_counts_once(self, tmp_path):
+        # a stalled worker that finishes after its point was quarantined
+        # appends a late `done`: the point closed at its quarantine, so
+        # the report, the audit and the watch all count it failed, once
+        from repro.telemetry.live import QueueWatcher
+
+        specs = grid(levels=(2,), rates=(0.1, 0.2))
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=1,
+                              lease_ttl_s=10.0, quarantine_after=2)
+        assert SweepRunner(workers=1, fabric=config).run(specs).ok
+        table = LeaseTable(tmp_path / "q")
+        late = table.load()["keys"][1]
+        self.rewrite_log(
+            table,
+            lambda event: (event["ev"] != "shutdown"
+                           and event.get("key") != late),
+            [{"ev": "claim", "key": late, "worker": "w0g0", "attempt": 1},
+             {"ev": "expired", "key": late, "worker": "w0g0", "attempt": 1},
+             {"ev": "claim", "key": late, "worker": "w0g1", "attempt": 2},
+             {"ev": "expired", "key": late, "worker": "w0g1", "attempt": 2},
+             {"ev": "quarantine", "key": late, "workers": ["w0g0", "w0g1"]},
+             {"ev": "done", "key": late, "worker": "w0g0", "attempt": 1,
+              "elapsed": 0.1}])
+        runner = SweepRunner(workers=0, fabric=FabricConfig(
+            queue_dir=str(tmp_path / "q"), workers=0, quarantine_after=2))
+        report = self.guarded_run(runner, specs)
+        assert not report.interrupted
+        assert report.total_points == 2
+        assert [failure.kind for failure in report.failures] == ["quarantined"]
+        assert report.failures[0].key == late
+        audit = audit_queue(tmp_path / "q")
+        assert (audit.done, audit.quarantined, audit.total) == (1, 1, 2)
+        assert audit.duplicates == 1
+        view = QueueWatcher(tmp_path / "q").refresh()
+        assert (view.done, view.failed) == (audit.done, audit.quarantined)
+        assert view.complete
 
     def test_request_stop_interrupts_serial_run(self, tmp_path):
         specs = grid(levels=(2, 4), rates=(0.1, 0.2, 0.3))

@@ -1,8 +1,9 @@
 """Tests for the live sweep observability plane (`repro.telemetry.live`).
 
-Covers the streaming aggregator (fabric events + pool progress callbacks),
-the rate/ETA estimator, the incremental `read_events` tailing contract
-under torn writes and reader restarts (property-based), the three
+Covers the streaming aggregator over fabric events, the rate/ETA
+estimator, the incremental `read_events` tailing contract under torn
+writes and reader restarts and the one event-log fold that the audit and
+the watch share (both property-based), the three
 surfaces (`repro watch` CLI, HTML dashboard, Prometheus endpoint), the
 progress line, and the `fabric audit --json` machine verdict.
 """
@@ -24,7 +25,7 @@ from repro.cli import main
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
 from repro.exec import FabricConfig, ResultCache, SweepRunner, audit_queue
-from repro.exec.fabric import LeaseTable
+from repro.exec.fabric import LeaseTable, QueueLog
 from repro.noc.spec import SimulationSpec, TrafficSpec
 from repro.telemetry.live import (
     LiveAggregator,
@@ -164,17 +165,6 @@ class TestLiveAggregator:
         assert view.leases.expiring == 1
         assert view.in_flight == 2
 
-    def test_pool_progress_callback_path(self):
-        agg = LiveAggregator(source="pool")
-        agg.observe_progress(1, 3, None, "simulated", now=1.0)
-        agg.observe_progress(2, 3, None, "cached", now=2.0)
-        agg.observe_progress(3, 3, None, "failed", now=3.0)
-        view = agg.snapshot(now=3.0)
-        assert view.source == "pool"
-        assert (view.total, view.done, view.failed) == (3, 2, 1)
-        assert view.cache_hits == 1
-        assert view.complete is True
-
     def test_to_dict_is_json_round_trippable(self):
         agg = LiveAggregator()
         agg.fold({"ev": "seed", "total": 2, "ts": 1.0})
@@ -240,6 +230,73 @@ class TestReadEventsTailing:
             assert [e["ev"] for e in events] == ["a", "b"]
             more, _ = table.read_events(offset)
             assert more == []
+
+
+class TestQueueLogFold:
+    """One fold for every reader: any event log over a seeded queue reads
+    the same through the audit, the watch and chunked tailing."""
+
+    WORKERS = ("w0", "w1", "w2")
+    KINDS = ("claim", "done", "cached", "error", "expired", "quarantine",
+             "lost", "abandon", "drain", "shutdown", "resume")
+
+    @staticmethod
+    def event(kind: str, key: str, worker: str, number: int) -> dict:
+        if kind in ("drain", "shutdown"):
+            return {"ev": kind}
+        if kind == "resume":
+            return {"ev": kind, "quarantine_after": number}
+        if kind == "cached":
+            return {"ev": "done", "key": key, "worker": worker,
+                    "recovered": True, "cached": True}
+        return {"ev": kind, "key": key, "worker": worker, "attempt": number}
+
+    @given(
+        n_keys=st.integers(min_value=2, max_value=4),
+        quarantine_after=st.integers(min_value=1, max_value=3),
+        steps=st.lists(st.tuples(st.sampled_from(KINDS),
+                                 st.integers(min_value=0, max_value=3),
+                                 st.sampled_from(WORKERS),
+                                 st.integers(min_value=1, max_value=3)),
+                       max_size=40),
+        cuts=st.lists(st.integers(min_value=0, max_value=100_000),
+                      max_size=8),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_audit_watch_and_chunked_fold_agree(self, n_keys,
+                                                quarantine_after, steps,
+                                                cuts):
+        keys = [f"{index:02x}" * 32 for index in range(n_keys)]
+        with tempfile.TemporaryDirectory() as tmp:
+            table = LeaseTable(os.path.join(tmp, "queue"))
+            table.seed([(key, None) for key in keys], fingerprint="fp",
+                       results_dir=os.path.join(tmp, "results"),
+                       settings={"lease_ttl_s": 10.0, "shards": 8,
+                                 "quarantine_after": quarantine_after})
+            for kind, index, worker, number in steps:
+                table.append(self.event(kind, keys[index % n_keys], worker,
+                                        number))
+            audit = audit_queue(table.directory, expect_complete=False)
+            assert audit.done + audit.quarantined <= audit.total
+            view = QueueWatcher(table.directory).refresh()
+            assert (view.done, view.failed, view.duplicates, view.expired) \
+                == (audit.done, audit.quarantined, audit.duplicates,
+                    audit.expired)
+
+            whole = QueueLog.of(table)
+            whole.read(table)
+            blob = table.events_path.read_bytes()
+            tail = LeaseTable(os.path.join(tmp, "tail"))
+            os.makedirs(tail.directory)
+            chunked = QueueLog(keys, quarantine_after)
+            written = 0
+            for bound in sorted({cut % (len(blob) + 1) for cut in cuts}
+                                | {len(blob)}):
+                with open(tail.events_path, "ab") as handle:
+                    handle.write(blob[written:bound])
+                written = bound
+                chunked.read(tail)
+            assert vars(chunked) == vars(whole)
 
 
 class TestRenderers:
