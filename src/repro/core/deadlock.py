@@ -18,11 +18,13 @@ testing the resulting CDG for cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from repro.core.cdor import CdorRouter
 from repro.core.topological import SprintTopology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 Channel = tuple[int, int]  # (from-router, to-router), unidirectional
 
@@ -46,6 +48,8 @@ def channel_dependency_graph(router: CdorRouter) -> nx.DiGraph:
     Only router-to-router channels are modelled; injection and ejection
     channels cannot participate in cycles because they are sources/sinks.
     """
+    import networkx as nx
+
     topo = router.topology
     graph = nx.DiGraph()
     for source in topo.active_nodes:
@@ -63,6 +67,8 @@ def channel_dependency_graph(router: CdorRouter) -> nx.DiGraph:
 
 def check_deadlock_freedom(router: CdorRouter) -> DeadlockReport:
     """Verify CDOR deadlock freedom on the router's topology."""
+    import networkx as nx
+
     graph = channel_dependency_graph(router)
     try:
         cycle_edges = nx.find_cycle(graph)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.cmp.perf_model import BenchmarkProfile, profile_workload
 from repro.cmp.traffic_model import traffic_spec_for_workload
@@ -199,9 +200,12 @@ class NoCSprintingSystem:
             self.config.core_count,
             self.config.master_node,
         )
-        self.thermal_grid = ThermalGrid(
-            self.config.noc.mesh_width, self.config.noc.mesh_height
-        )
+
+    @cached_property
+    def thermal_grid(self) -> ThermalGrid:
+        """The die's RC grid, built on first use (network-only runs never
+        solve it)."""
+        return ThermalGrid(self.config.noc.mesh_width, self.config.noc.mesh_height)
 
     # ------------------------------------------------------------------
     def _resolve(self, workload: str | BenchmarkProfile) -> BenchmarkProfile:

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import lil_matrix
-from scipy.sparse.linalg import spsolve
 
 AMBIENT_K = 318.0  # 45 C, HotSpot's default ambient
 
@@ -85,6 +83,8 @@ class ThermalGrid:
         return g_amb
 
     def _build_conductance_matrix(self):
+        from scipy.sparse import lil_matrix
+
         p = self.params
         n = self.nx * self.ny
         matrix = lil_matrix((n, n))
@@ -128,6 +128,7 @@ class ThermalGrid:
         """Steady-state cell temperatures (kelvin), shape (ny, nx)."""
         power = self._power_per_cell(tile_powers)
         from scipy.sparse import diags
+        from scipy.sparse.linalg import spsolve
 
         spreader_k = self.spreader_temperature(tile_powers)
         system = self._conductance + diags(self._ambient_conductance)
