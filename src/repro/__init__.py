@@ -43,28 +43,39 @@ behind the ``repro serve`` HTTP API
 ``docs/service.md``).
 """
 
-from repro.config import NoCConfig, SystemConfig, default_config
-from repro.core import (
-    CdorRouter,
-    NoCSprintingSystem,
-    SprintController,
-    SprintPlan,
-    SprintTopology,
-    check_deadlock_freedom,
-    sprint_order,
-    thermal_aware_floorplan,
-)
-from repro.core.system import EvaluationReport
-from repro.exec import ResultCache, SweepRunner
-from repro.noc import SimulationSpec, TrafficSpec, run_simulation
-from repro.noc.backends import get_backend, list_backends, register_backend
-from repro.noc.spec import (
-    WIRE_VERSION,
-    WireFormatError,
-    spec_from_wire,
-    spec_to_wire,
-)
-from repro.telemetry import Ledger, RunRecord, compare_runs
+from repro.util.lazy import lazy_exports
+
+#: public name -> the module it is imported from on first access
+_EXPORTS = {
+    "NoCConfig": ".config",
+    "SystemConfig": ".config",
+    "default_config": ".config",
+    "CdorRouter": ".core",
+    "NoCSprintingSystem": ".core",
+    "SprintController": ".core",
+    "SprintPlan": ".core",
+    "SprintTopology": ".core",
+    "check_deadlock_freedom": ".core",
+    "sprint_order": ".core",
+    "thermal_aware_floorplan": ".core",
+    "EvaluationReport": ".core.system",
+    "ResultCache": ".exec",
+    "SweepRunner": ".exec",
+    "SimulationSpec": ".noc",
+    "TrafficSpec": ".noc",
+    "run_simulation": ".noc",
+    "get_backend": ".noc.backends",
+    "list_backends": ".noc.backends",
+    "register_backend": ".noc.backends",
+    "WIRE_VERSION": ".noc.spec",
+    "WireFormatError": ".noc.spec",
+    "spec_from_wire": ".noc.spec",
+    "spec_to_wire": ".noc.spec",
+    "Ledger": ".telemetry",
+    "RunRecord": ".telemetry",
+    "compare_runs": ".telemetry",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __version__ = "1.0.0"
 

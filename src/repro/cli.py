@@ -52,19 +52,23 @@ import argparse
 from typing import Sequence
 
 from repro.cmp.workloads import PARSEC_PROFILES, all_profiles, get_profile
-from repro.config import table1_rows
-from repro.core.system import NoCSprintingSystem
-from repro.thermal.pcm import sprint_phases
 from repro.util.tables import format_table, render_heatmap
+
+# Each command imports what it runs: `repro worker` and grid sweeps never
+# load the system facade, the thermal model or the deadlock checker.
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.config import table1_rows
+
     print(format_table(["parameter", "value", "parameter", "value"], table1_rows(),
                        title="Table 1: system and interconnect configuration"))
     return 0
 
 
 def _cmd_sprint(args: argparse.Namespace) -> int:
+    from repro.core.system import NoCSprintingSystem
+
     system = NoCSprintingSystem()
     profile = get_profile(args.benchmark)
     rows = []
@@ -101,6 +105,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             or args.metrics or args.backend != "reference"
             or args.ledger_dir or args.ledger_label or args.fabric):
         return _cmd_sweep_grid(args)
+    from repro.core.system import NoCSprintingSystem
+
     system = NoCSprintingSystem()
     rows = []
     for profile in all_profiles():
@@ -445,10 +451,12 @@ def _cmd_network(args: argparse.Namespace) -> int:
 
 def _cmd_thermal(args: argparse.Namespace) -> int:
     from repro.core.floorplanning import thermal_aware_floorplan
+    from repro.core.system import NoCSprintingSystem
     from repro.core.topological import SprintTopology
     from repro.power.chip_power import ChipPowerModel
     from repro.thermal.floorplan import sprint_tile_powers
     from repro.thermal.grid import ThermalGrid
+    from repro.thermal.pcm import sprint_phases
 
     system = NoCSprintingSystem()
     profile = get_profile(args.benchmark)
@@ -478,6 +486,8 @@ def _cmd_thermal(args: argparse.Namespace) -> int:
 
 
 def _cmd_duration(args: argparse.Namespace) -> int:
+    from repro.core.system import NoCSprintingSystem
+
     system = NoCSprintingSystem()
     rows = []
     for profile in all_profiles():

@@ -5,29 +5,43 @@ pipeline, synthetic traffic, booksim-style warmup/measure/drain statistics,
 and router power gating.
 """
 
-from repro.noc.activity import NetworkActivity, RouterActivity
-from repro.noc.backends import (
-    BackendCapabilityError,
-    SimBackend,
-    get_backend,
-    list_backends,
-    register_backend,
-)
-from repro.noc.flit import Flit, Packet, make_flits
-from repro.noc.network import Network, Router
-from repro.noc.power_gating import (
-    StaticGatingPlan,
-    TimeoutGatingPolicy,
-    break_even_cycles,
-    static_plan_for_topology,
-)
-from repro.noc.llc_sim import LlcSimulationResult, run_llc_simulation
-from repro.noc.adaptive import ADAPTIVE_ALGORITHMS, build_adaptive_table
-from repro.noc.routing import build_routing_table
-from repro.noc.sim import SimulationResult, run_simulation, simulate, zero_load_latency
-from repro.noc.spec import SimulationSpec, TrafficSpec, stable_key
-from repro.noc.trace import TraceRecorder, TraceTraffic
-from repro.noc.traffic import TrafficGenerator
+from repro.util.lazy import lazy_exports
+
+#: public name -> the module it is imported from on first access
+_EXPORTS = {
+    "NetworkActivity": ".activity",
+    "RouterActivity": ".activity",
+    "BackendCapabilityError": ".backends",
+    "SimBackend": ".backends",
+    "get_backend": ".backends",
+    "list_backends": ".backends",
+    "register_backend": ".backends",
+    "Flit": ".flit",
+    "Packet": ".flit",
+    "make_flits": ".flit",
+    "Network": ".network",
+    "Router": ".network",
+    "StaticGatingPlan": ".power_gating",
+    "TimeoutGatingPolicy": ".power_gating",
+    "break_even_cycles": ".power_gating",
+    "static_plan_for_topology": ".power_gating",
+    "LlcSimulationResult": ".llc_sim",
+    "run_llc_simulation": ".llc_sim",
+    "ADAPTIVE_ALGORITHMS": ".adaptive",
+    "build_adaptive_table": ".adaptive",
+    "build_routing_table": ".routing",
+    "SimulationResult": ".sim",
+    "run_simulation": ".sim",
+    "simulate": ".sim",
+    "zero_load_latency": ".sim",
+    "SimulationSpec": ".spec",
+    "TrafficSpec": ".spec",
+    "stable_key": ".spec",
+    "TraceRecorder": ".trace",
+    "TraceTraffic": ".trace",
+    "TrafficGenerator": ".traffic",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "NetworkActivity",

@@ -1,24 +1,34 @@
 """Power models: DSENT-substitute router/link energy and McPAT-substitute
 chip power, plus the bridge that converts simulator activity into power."""
 
-from repro.power.activity import NetworkPowerReport, network_power
-from repro.power.energy import EnergyReport, burst_energy, energy_comparison
-from repro.power.dvfs import (
-    DIM_POINTS,
-    NOMINAL_POINT,
-    DvfsConfiguration,
-    DvfsPlanner,
-    OperatingPoint,
-)
-from repro.power.chip_power import (
-    ChipPowerModel,
-    ChipPowerParams,
-    ChipPowerReport,
-    DEFAULT_PARAMS,
-)
-from repro.power.link_power import TILE_PITCH_MM, LinkPowerModel, link_lengths_mm
-from repro.power.router_power import PowerBreakdown, RouterPowerModel
-from repro.power.technology import FIG2_OPERATING_POINTS, TECH_45NM, TechNode
+from repro.util.lazy import lazy_exports
+
+#: public name -> the module it is imported from on first access
+_EXPORTS = {
+    "NetworkPowerReport": ".activity",
+    "network_power": ".activity",
+    "EnergyReport": ".energy",
+    "burst_energy": ".energy",
+    "energy_comparison": ".energy",
+    "DIM_POINTS": ".dvfs",
+    "NOMINAL_POINT": ".dvfs",
+    "DvfsConfiguration": ".dvfs",
+    "DvfsPlanner": ".dvfs",
+    "OperatingPoint": ".dvfs",
+    "ChipPowerModel": ".chip_power",
+    "ChipPowerParams": ".chip_power",
+    "ChipPowerReport": ".chip_power",
+    "DEFAULT_PARAMS": ".chip_power",
+    "TILE_PITCH_MM": ".link_power",
+    "LinkPowerModel": ".link_power",
+    "link_lengths_mm": ".link_power",
+    "PowerBreakdown": ".router_power",
+    "RouterPowerModel": ".router_power",
+    "FIG2_OPERATING_POINTS": ".technology",
+    "TECH_45NM": ".technology",
+    "TechNode": ".technology",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 __all__ = [
     "NetworkPowerReport",

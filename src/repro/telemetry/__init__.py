@@ -32,17 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry.compare import Comparison, MetricPolicy, compare_runs
-from repro.telemetry.ledger import Ledger, RunRecord
-from repro.telemetry.live import (
-    LiveAggregator,
-    LiveMetricsExporter,
-    MetricsServer,
-    ProgressLine,
-    QueueWatcher,
-    RateEstimator,
-    SweepView,
-)
 from repro.telemetry.metrics import (
     Counter,
     Gauge,
@@ -51,6 +40,24 @@ from repro.telemetry.metrics import (
     NULL_INSTRUMENT,
 )
 from repro.telemetry.tracer import NULL_SPAN, Span, Tracer
+from repro.util.lazy import lazy_exports
+
+#: public name -> the module it is imported from on first access
+_EXPORTS = {
+    "Comparison": ".compare",
+    "MetricPolicy": ".compare",
+    "compare_runs": ".compare",
+    "Ledger": ".ledger",
+    "RunRecord": ".ledger",
+    "LiveAggregator": ".live",
+    "LiveMetricsExporter": ".live",
+    "MetricsServer": ".live",
+    "ProgressLine": ".live",
+    "QueueWatcher": ".live",
+    "RateEstimator": ".live",
+    "SweepView": ".live",
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 
 
 @dataclass(frozen=True)

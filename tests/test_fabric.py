@@ -367,11 +367,15 @@ class TestChaosModes:
 
 
 class TestResumeAndDrain:
-    def sweep_cmd(self, tmp_path, extra=()):
+    WINDOWS = ("--warmup", "200", "--measure", "800", "--drain", "1500")
+    # the windows the CI drain step uses: long enough that the sweep is
+    # still running when a signal sent after its first checkpoint lands
+    SLOW_WINDOWS = ("--warmup", "400", "--measure", "2000", "--drain", "5000")
+
+    def sweep_cmd(self, tmp_path, extra=(), windows=WINDOWS):
         return [sys.executable, "-m", "repro", "sweep",
                 "--levels", "2", "4", "8", "--rates", "0.1", "0.2", "0.3",
-                "--backend", "reference", "--warmup", "200",
-                "--measure", "800", "--drain", "1500",
+                "--backend", "reference", *windows,
                 "--cache-dir", str(tmp_path / "cache"),
                 "--ledger-dir", str(tmp_path / "ledger"), *extra]
 
@@ -456,7 +460,7 @@ class TestResumeAndDrain:
 
     def test_sigint_drains_checkpoints_and_exits_5(self, tmp_path):
         proc = subprocess.Popen(
-            self.sweep_cmd(tmp_path, ["--workers", "2"]),
+            self.sweep_cmd(tmp_path, ["--workers", "2"], self.SLOW_WINDOWS),
             env=run_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             text=True, start_new_session=True)
         deadline = time.monotonic() + 60
@@ -477,7 +481,8 @@ class TestResumeAndDrain:
         # the drained sweep resumes: finished points are recognized, the
         # remainder simulates, and the second run exits clean
         second = subprocess.run(
-            self.sweep_cmd(tmp_path, ["--workers", "2", "--resume"]),
+            self.sweep_cmd(tmp_path, ["--workers", "2", "--resume"],
+                           self.SLOW_WINDOWS),
             env=run_env(), capture_output=True, text=True, timeout=240)
         assert second.returncode == 0, second.stdout + second.stderr
         assert "resumed:" in second.stdout

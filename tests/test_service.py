@@ -378,6 +378,20 @@ class TestHttpApi:
         body = json.dumps(spec_to_wire(spec)).encode()
         outcomes = []
         lock = threading.Lock()
+        service = server.service
+        execute_batch = service._execute_batch
+
+        def held_batch(*args, **kwargs):
+            # hold the one simulation until the other five requests have
+            # joined it; otherwise a late one can find the finished result
+            # in the cache and count as served, not coalesced
+            deadline = time.monotonic() + 30
+            while ((service.counter_value("service_coalesced_total") or 0) < 5
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return execute_batch(*args, **kwargs)
+
+        service._execute_batch = held_batch
 
         def submit():
             status, _, doc = http_json(server.url + "/v1/evaluate", data=body)
