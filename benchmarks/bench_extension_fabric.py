@@ -1,16 +1,16 @@
-"""Extension: the lease-based sweep fabric under churn vs the process pool.
+"""Extension: the lease-based sweep fabric under churn vs a serial run.
 
 The fabric (docs/robustness.md) decouples scheduling from execution: the
 coordinator persists the point set as a durable lease table and workers
--- local or externally joined ``repro worker`` processes -- claim points
-under heartbeat-renewed leases.  This bench measures what that buys and
-what it costs:
+-- forked local ones or externally joined ``repro worker`` processes --
+claim points under heartbeat-renewed leases.  Every parallel sweep runs
+on it.  This bench measures what that buys and what it costs:
 
-- ``pool``      -- the classic in-process ``SweepRunner`` dispatch;
+- ``serial``    -- the in-process ``SweepRunner`` reference;
 - ``fabric``    -- the same grid through the lease fabric (results must
-  be bit-identical to the pool run);
+  be bit-identical to the serial run);
 - ``fabric+kill9`` -- the same fabric while every worker SIGKILLs itself
-  0.25-0.55 s after starting: leases expire, points re-let, and the
+  0.2-0.4 s after starting: leases expire, points re-let, and the
   sweep still completes every point with the audit invariants holding;
 - ``fabric+watch`` -- the clean fabric again with the full observability
   plane attached mid-flight (``QueueWatcher`` refresh loop + Prometheus
@@ -19,8 +19,9 @@ what it costs:
   event-log tailing and lease-dir scans -- so it must be near free), and
   its final view must agree with the ``SweepReport`` exactly.
 
-Worker processes cost ~1 s each to spawn, so the fabric is expected to
-*lose* the wall-clock race on a small grid; the gates here are about
+Local workers are forked and start in milliseconds, but each point
+still pays for its lease, its event appends and its fsync'd result, and
+churn re-runs whatever a killed worker held; the gates here are about
 survival (zero lost points, clean audit) and observability overhead,
 not speed.  The table is mirrored to ``BENCH_fabric.json`` for CI to
 archive.
@@ -162,16 +163,16 @@ def contest():
     specs = _grid()
     rows = []
     with tempfile.TemporaryDirectory(prefix="bench-fabric-") as root:
-        runner = SweepRunner(workers=2, cache=ResultCache())
+        runner = SweepRunner(workers=1, cache=ResultCache())
         start = time.perf_counter()
-        pool = runner.run(specs)
-        rows.append(("pool", pool, time.perf_counter() - start, None))
+        serial = runner.run(specs)
+        rows.append(("serial", serial, time.perf_counter() - start, None))
 
         clean, wall_s, audit = _fabric_run(specs, root, "clean")
         rows.append(("fabric", clean, wall_s, audit))
 
         churn, wall_s, audit = _fabric_run(specs, root, "churn",
-                                           chaos="kill9:0.3:0.4")
+                                           chaos="kill9:0.2:0.2")
         rows.append(("fabric+kill9", churn, wall_s, audit))
 
         # the same clean sweep with the live plane attached mid-flight
@@ -245,7 +246,7 @@ def _render(rows):
 
 def test_extension_sweep_fabric(benchmark):
     rows, watch_info = once(benchmark, contest)
-    report("Extension: lease-based sweep fabric vs process pool", _render(rows))
+    report("Extension: lease-based sweep fabric vs serial", _render(rows))
     report(
         "Extension: live observability plane overhead",
         f"watcher busy {watch_info['busy_s']:.3f}s over "
@@ -266,8 +267,9 @@ def test_extension_sweep_fabric(benchmark):
 
     # the fabric changes scheduling, never results: bit-for-bit parity
     # (watched or not -- the live plane is read-only)
+    serial = results["serial"].points
     for mode in ("fabric", "fabric+watch"):
-        for mine, theirs in zip(results[mode].points, results["pool"].points):
+        for mine, theirs in zip(results[mode].points, serial):
             assert mine.result == theirs.result
 
     # churn really happened, and the lease ledger still balances: a lease

@@ -552,11 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--measure", type=int, default=1000)
     sweep.add_argument("--drain", type=int, default=4000)
     sweep.add_argument("--max-retries", type=int, default=0,
-                       help="re-attempts per failing point (exponential "
-                            "backoff between tries)")
+                       help="re-attempts per failing point (serial retries "
+                            "back off exponentially; --fabric counts "
+                            "--quarantine-after instead)")
     sweep.add_argument("--point-timeout", type=float, default=None,
-                       help="seconds before a point is killed and retried "
-                            "(needs --workers > 1)")
+                       help="seconds a local worker may hold one point "
+                            "before it is killed and the point retried "
+                            "(parallel sweeps, --fabric included)")
     sweep.add_argument("--resume", action="store_true",
                        help="continue an interrupted sweep from the "
                             "checkpoint in --cache-dir")
@@ -615,10 +617,6 @@ def build_parser() -> argparse.ArgumentParser:
     worker.add_argument("--wait", type=float, default=10.0, metavar="SECONDS",
                         help="how long to wait for the queue to be seeded "
                              "before giving up (exit 2)")
-    worker.add_argument("--generation", type=int, default=0, metavar="N",
-                        help="respawn generation recorded in worker-start "
-                             "events (the coordinator sets this; external "
-                             "workers default to 0)")
 
     fabric = sub.add_parser(
         "fabric",
@@ -683,8 +681,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run-ledger directory (default .repro/ledger or "
                             "$REPRO_LEDGER_DIR)")
     serve.add_argument("--fabric", default=None, metavar="QUEUE_DIR",
-                       help="execute batches through the lease-based work "
-                            "fabric rooted here instead of a local pool")
+                       help="root each batch's lease-based work queue here "
+                            "(external workers can join) instead of in a "
+                            "private temporary directory")
     serve.add_argument("--rate", type=float, default=50.0, metavar="PER_S",
                        help="per-client token-bucket refill rate, specs/s "
                             "(default 50)")
@@ -960,8 +959,7 @@ def _cmd_worker(args: argparse.Namespace) -> int:
     from repro.exec import worker_main
 
     return worker_main(args.queue, worker_id=args.id,
-                       poll_s=args.poll, wait_s=args.wait,
-                       generation=args.generation)
+                       poll_s=args.poll, wait_s=args.wait)
 
 
 def _cmd_fabric(args: argparse.Namespace) -> int:

@@ -4,19 +4,20 @@ Every paper figure and ablation is a sweep of independent
 :class:`~repro.noc.spec.SimulationSpec` points.  This package executes
 such sweeps fast and reproducibly:
 
-- :class:`~repro.exec.runner.SweepRunner` -- fan specs out over a process
-  pool (serial fallback) with deterministic per-point seeding, so parallel
-  and serial runs are bit-identical;
+- :class:`~repro.exec.runner.SweepRunner` -- run specs serially or, with
+  ``workers > 1``, on the lease fabric with forked local workers, with
+  deterministic per-point seeding, so parallel and serial runs are
+  bit-identical;
 - :class:`~repro.exec.cache.ResultCache` -- content-addressed result
   store (memory + optional disk) with hit/miss counters;
 - :class:`~repro.exec.runner.SweepReport` -- per-point timing, cache
   statistics, failure records and a human-readable summary;
 - :class:`~repro.exec.runner.FailedPoint` -- a point that exhausted its
   retries (error / timeout / worker crash / quarantine), with the captured
-  traceback and, for fabric sweeps, the per-attempt history;
-- :mod:`repro.exec.fabric` -- a durable, lease-based work queue
-  (:class:`~repro.exec.fabric.FabricConfig` +
-  :class:`~repro.exec.fabric.FabricCoordinator`, ``repro worker``) that
+  traceback and, for parallel sweeps, the per-attempt history;
+- :mod:`repro.exec.fabric` -- the durable, lease-based work queue every
+  parallel sweep runs on (:class:`~repro.exec.fabric.FabricConfig` +
+  :class:`~repro.exec.fabric.FabricCoordinator`, ``repro worker``); it
   decouples scheduling from execution so sweeps survive worker churn,
   with :func:`~repro.exec.fabric.audit_queue` proving the invariants.
 

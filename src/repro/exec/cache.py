@@ -243,6 +243,11 @@ class ResultCache:
                 return
             self.counters.bytes_written += len(blob)
 
+    def remember(self, key: str, value) -> None:
+        """Hold ``value`` in memory only: another process (a fabric
+        worker) already published it to this cache's directory."""
+        self._memory[key] = value
+
     # ------------------------------------------------------------------
     # JSON side-records (sweep checkpoint manifests): human-readable
     # metadata living next to the pickled results, outside the hit/miss

@@ -1,23 +1,25 @@
 """Durable, lease-based sweep fabric: elastic workers that survive churn.
 
-The process-pool fan-out in :mod:`repro.exec.runner` tops out at one
-parent and its forked children: a worker that dies takes its future with
-it, and nobody outside the parent process can help finish the sweep.
-This module decouples *scheduling* from *execution* through a
-filesystem-backed work queue, the same durability idiom as the run
-ledger (O_APPEND JSONL events + atomic ``os.replace`` snapshots):
+This is how a sweep runs on more than one process.  It decouples
+*scheduling* from *execution* through a filesystem-backed work queue,
+the same durability idiom as the run ledger (O_APPEND JSONL events +
+atomic ``os.replace`` snapshots):
 
 - a **coordinator** (:class:`FabricCoordinator`, driven by
-  ``SweepRunner(fabric=...)`` / ``repro sweep --fabric DIR``) persists
-  the sweep's pending point set into a *queue directory* and supervises
-  it: reclaiming expired leases, quarantining poisoned points,
-  respawning dead local workers, and folding completed results back
-  into the ordinary :class:`~repro.exec.runner.SweepReport`;
-- **workers** (:func:`worker_main`, the ``repro worker --queue DIR``
-  subcommand) claim points under time-bounded leases, heartbeat while
-  simulating, write results crash-atomically into the shared
-  :class:`~repro.exec.cache.ResultCache`, and append a ``done`` event.
-  Any number may join or leave mid-sweep, from any process.
+  ``SweepRunner(workers=N)`` on a private queue directory, or by
+  ``SweepRunner(fabric=...)`` / ``repro sweep --fabric DIR`` on a named
+  one) persists the sweep's pending point set into a *queue directory*
+  and supervises it: forking local workers and respawning dead ones,
+  killing a local worker that holds a lease past ``point_timeout``,
+  reclaiming expired leases, quarantining poisoned points, and folding
+  completed results (and each attempt's telemetry) back into the
+  ordinary :class:`~repro.exec.runner.SweepReport`;
+- **workers** (:func:`worker_main`: the coordinator's forked local
+  workers, or the ``repro worker --queue DIR`` subcommand) claim points
+  under time-bounded leases, heartbeat while simulating, write results
+  crash-atomically into the shared :class:`~repro.exec.cache.ResultCache`,
+  and append a ``done`` event.  Any number may join or leave mid-sweep,
+  from any process.
 
 Queue directory layout::
 
@@ -26,6 +28,7 @@ Queue directory layout::
     events.jsonl    append-only event log (claim/done/error/...) [O_APPEND]
     leases/K.json   live lease for point K (O_EXCL create = claim)
     results/        default shared ResultCache directory
+    telemetry/      one payload per instrumented attempt, until harvested
     workers/        per-worker log files
 
 Failure semantics (at-least-once, recorded exactly once):
@@ -40,8 +43,10 @@ Failure semantics (at-least-once, recorded exactly once):
   (``fabric_done_duplicates_total``);
 - a point with ``quarantine_after`` failed attempts (an ``error``
   event or an expired lease each count, whichever worker held it) is
-  quarantined (a circuit breaker for poisoned specs) and surfaced as a
-  :class:`~repro.exec.runner.FailedPoint` with its full attempt history;
+  closed (a circuit breaker for poisoned specs) and surfaced as a
+  :class:`~repro.exec.runner.FailedPoint` with its full attempt history:
+  of kind ``error``, ``crash`` or ``timeout`` after a single failed
+  attempt (:func:`attempt_cause`), ``quarantined`` after two or more;
 - :func:`audit_queue` replays the event log and proves the invariants:
   every seeded point is done or quarantined, every done point has a
   loadable result, no lease outlives the sweep.
@@ -76,10 +81,10 @@ import os
 import pickle
 import random
 import signal
-import subprocess
 import sys
 import threading
 import time
+import traceback
 import uuid
 from collections import Counter
 from dataclasses import dataclass, field
@@ -87,6 +92,7 @@ from pathlib import Path
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import CHAOS_ENV, _simulate_guarded
+from repro.telemetry import TelemetryContext
 from repro.telemetry.live import shard_of
 from repro.util.durable import (
     append_line,
@@ -101,10 +107,11 @@ SPECS_FILE = "specs.pkl"
 EVENTS_FILE = "events.jsonl"
 LEASES_DIR = "leases"
 RESULTS_DIR = "results"
+TELEMETRY_DIR = "telemetry"
 WORKERS_DIR = "workers"
 
 #: Coordinator and worker scan period, seconds.
-POLL_S = 0.05
+POLL_S = 0.01
 #: Grace for in-flight points once a drain is requested, seconds.
 DRAIN_TIMEOUT_S = 30.0
 #: Content-derived buckets the live views group points into.
@@ -146,7 +153,8 @@ class QueueError(RuntimeError):
 
 @dataclass(frozen=True)
 class FabricConfig:
-    """Knobs for one fabric-mode sweep (``SweepRunner(fabric=...)``)."""
+    """Knobs for one fabric sweep (``SweepRunner(fabric=...)``; a runner
+    with ``workers > 1`` and no config builds a private one)."""
 
     queue_dir: str
     workers: int = 2                  # local worker processes (0: external only)
@@ -246,6 +254,10 @@ class LeaseTable:
     def lease_path(self, key: str) -> Path:
         return self.leases_dir / f"{key}.json"
 
+    def payload_path(self, key: str, nonce: str) -> Path:
+        """Where the attempt under lease ``nonce`` leaves its telemetry."""
+        return self.directory / TELEMETRY_DIR / f"{key}.{nonce}.pkl"
+
     # queue lifecycle ---------------------------------------------------
     def seed(self, pending: list[tuple[str, object]], *, fingerprint: str,
              results_dir: str, settings: dict) -> bool:
@@ -259,6 +271,7 @@ class LeaseTable:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.leases_dir.mkdir(exist_ok=True)
         (self.directory / WORKERS_DIR).mkdir(exist_ok=True)
+        (self.directory / TELEMETRY_DIR).mkdir(exist_ok=True)
         existing = read_json(self.meta_path)
         if existing is not None:
             if existing.get("fingerprint") != fingerprint:
@@ -271,7 +284,8 @@ class LeaseTable:
             self._extend_specs(pending)
             return True
         specs = {key: spec for key, spec in pending}
-        write_atomic(self.directory / SPECS_FILE, pickle.dumps(specs), True)
+        durable = settings.get("durable", True)
+        write_atomic(self.directory / SPECS_FILE, pickle.dumps(specs), durable)
         self.meta = {
             "version": 1,
             "fingerprint": fingerprint,
@@ -281,7 +295,7 @@ class LeaseTable:
             "settings": settings,
             "created": time.time(),
         }
-        _write_json_atomic(self.meta_path, self.meta)
+        _write_json_atomic(self.meta_path, self.meta, durable)
         self.append({"ev": "seed", "total": len(pending)})
         return False
 
@@ -344,12 +358,14 @@ class LeaseTable:
     def claim(self, key: str, worker: str, attempt: int) -> dict | None:
         """Claim ``key`` under a time-bounded lease; None when already held."""
         ttl = float(self.settings.get("lease_ttl_s", 10.0))
+        now = time.time()
         payload = {
             "key": key,
             "worker": worker,
             "attempt": attempt,
             "nonce": uuid.uuid4().hex[:12],
-            "deadline": time.time() + ttl,
+            "claimed": now,
+            "deadline": now + ttl,
         }
         try:
             if not create_exclusive(self.lease_path(key),
@@ -444,15 +460,21 @@ class LeaseTable:
             reclaimed.append(self._expire(entry, lease))
         return reclaimed
 
-    def reclaim_worker(self, worker: str) -> list[dict]:
+    def reclaim_worker(self, worker: str,
+                       timed_out: str | None = None) -> list[dict]:
         """Immediately expire every lease held by a worker known to be
         dead (the coordinator reaped its process), without waiting for
-        the deadline."""
+        the deadline.  The lease whose nonce is ``timed_out`` is the one
+        the coordinator killed the worker over: its ``expired`` event
+        carries ``reason: "timeout"``."""
         reclaimed = []
         for entry in self.lease_files():
             lease = read_json(entry.path)
             if lease and lease.get("worker") == worker:
-                reclaimed.append(self._expire(entry, lease, fast=True))
+                extra = ({"reason": "timeout"} if timed_out is not None
+                         and lease.get("nonce") == timed_out else {})
+                reclaimed.append(self._expire(entry, lease, fast=True,
+                                              **extra))
         return reclaimed
 
     def active_leases(self) -> int:
@@ -462,6 +484,16 @@ class LeaseTable:
 # ----------------------------------------------------------------------
 # the event-log fold
 # ----------------------------------------------------------------------
+def attempt_cause(event: dict) -> str:
+    """The failure kind of one failed attempt: ``error`` for an ``error``
+    event, ``timeout`` for a lease whose worker the coordinator killed
+    past ``point_timeout``, ``crash`` for any other expired lease (its
+    worker died or stalled)."""
+    if event.get("ev") == "error":
+        return "error"
+    return "timeout" if event.get("reason") == "timeout" else "crash"
+
+
 class QueueLog:
     """The one fold of a queue's ``events.jsonl``.
 
@@ -471,9 +503,10 @@ class QueueLog:
     1. a point closes at its first ``done`` or at its quarantine,
        whichever the log holds first; a later ``done`` is a duplicate;
     2. every ``error``, and every ``expired`` lease on an open point, is
-       one failed attempt, and the ``quarantine_after``-th closes the
-       point as quarantined (an explicit ``quarantine`` event, which
-       older coordinators wrote, closes it too);
+       one failed attempt (verdict ``retry``), and the
+       ``quarantine_after``-th closes the point as quarantined (an
+       explicit ``quarantine`` event, which older coordinators wrote,
+       closes it too);
     3. ``drain`` and ``shutdown`` bind only the coordinator that wrote
        them: an adopting coordinator's ``resume`` clears them and sets
        its own ``quarantine_after``;
@@ -493,7 +526,7 @@ class QueueLog:
         self.done: dict[str, dict] = {}       # key -> the done that closed it
         self.quarantined: set[str] = set()
         self.attempts = Counter()             # key -> claims seen
-        self.failed_on: dict[str, list] = {}  # key -> worker of each failure
+        self.failures: dict[str, list] = {}   # key -> its failed attempts
         self.history: dict[str, list] = {}    # key -> FailedPoint.history
         self.foreign: set[str] = set()
         self.total = self.requeued = self.duplicates = 0
@@ -505,12 +538,11 @@ class QueueLog:
         meta = table.meta if table.meta is not None else table.load()
         return cls(meta["keys"], table.settings.get("quarantine_after") or 3)
 
-    def read(self, table: LeaseTable) -> list[dict]:
-        """Fold every event appended since the last read; returns them."""
+    def read(self, table: LeaseTable) -> list[tuple[dict, str | None]]:
+        """Fold every event appended since the last read; returns each
+        with its :meth:`fold` verdict."""
         events, self.offset = table.read_events(self.offset)
-        for event in events:
-            self.fold(event)
-        return events
+        return [(event, self.fold(event)) for event in events]
 
     def is_open(self, key: str) -> bool:
         return key not in self.done and key not in self.quarantined
@@ -531,7 +563,9 @@ class QueueLog:
                        for event in self.done.values())
 
     def fold(self, event: dict) -> str | None:
-        """Apply one event; returns the verdict when it closes a point."""
+        """Apply one event; returns its verdict on a point: ``done`` or
+        ``quarantined`` when it closes one, ``retry`` for a failed attempt
+        that leaves it open."""
         kind, key = event.get("ev"), event.get("key")
         if key is not None and self.keys is not None and key not in self.keys:
             if kind == "done":
@@ -554,7 +588,8 @@ class QueueLog:
             self.duplicates += 1
             return None
         if kind in ("claim", "done", "error", "expired", "abandon"):
-            entry = {name: event[name] for name in ("attempt", "error", "tb")
+            entry = {name: event[name]
+                     for name in ("attempt", "error", "tb", "reason")
                      if name in event}
             entry.update(event=kind, worker=event.get("worker", "?"),
                          ts=event.get("ts"))
@@ -570,12 +605,13 @@ class QueueLog:
             self.quarantined.add(key)
             return "quarantined"
         elif kind in ("error", "expired") and self.is_open(key):
-            self.requeued += kind == "expired"
-            failed = self.failed_on.setdefault(key, [])
-            failed.append(event.get("worker", "?"))
+            failed = self.failures.setdefault(key, [])
+            failed.append(event)
             if len(failed) >= self.quarantine_after:
                 self.quarantined.add(key)
                 return "quarantined"
+            self.requeued += kind == "expired"
+            return "retry"
         return None
 
 
@@ -594,16 +630,14 @@ def _arm_kill9(chaos: ChaosPlan) -> None:
 class _Heartbeat:
     """Background lease renewal while a point simulates.
 
-    Stops renewing (and flags ``fenced``) the moment the lease is no
-    longer ours -- the coordinator reclaimed it and the point may be
-    running elsewhere.
+    Stops renewing the moment the lease is no longer ours -- the
+    coordinator reclaimed it and the point may be running elsewhere.
     """
 
     def __init__(self, table: LeaseTable, lease: dict, interval_s: float):
         self.table = table
         self.lease = lease
         self.interval_s = interval_s
-        self.fenced = threading.Event()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, daemon=True)
 
@@ -612,7 +646,6 @@ class _Heartbeat:
             if not self.table.heartbeat(self.lease["key"],
                                         self.lease["worker"],
                                         self.lease["nonce"]):
-                self.fenced.set()
                 return
 
     def start(self) -> None:
@@ -636,15 +669,18 @@ def _torn_write(cache: ResultCache, key: str) -> None:
 def worker_main(queue_dir: str, worker_id: str | None = None,
                 poll_s: float = POLL_S, wait_s: float = 10.0,
                 log=None, generation: int = 0) -> int:
-    """The fabric worker loop (``repro worker --queue DIR``).
+    """The fabric worker loop (``repro worker --queue DIR``, and the body
+    of every forked local worker).
 
     Joins the queue (waiting up to ``wait_s`` for a coordinator to seed
     it), then repeatedly claims an unleased, unfinished point, simulates
     it under a heartbeat-extended lease, writes the result
     crash-atomically to the shared cache and appends a ``done`` event.
-    Exits 0 once the queue is drained / shut down, 2 when no queue
-    appears.  SIGINT/SIGTERM drain gracefully: the in-flight point is
-    finished and recorded before exiting.
+    When the queue settings carry a ``sample_interval`` (the sweep is
+    instrumented), each attempt's telemetry payload is left for the
+    coordinator to absorb.  Exits 0 once the queue is drained / shut
+    down, 2 when no queue appears.  SIGINT/SIGTERM drain gracefully: the
+    in-flight point is finished and recorded before exiting.
     """
     emit = (log or print)
     table = LeaseTable(queue_dir)
@@ -704,6 +740,12 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
         if claimed is None:
             time.sleep(poll_s)
             continue
+        # every closing event is appended before its lease is dropped, so
+        # a point that closed while we claimed it shows up in this read
+        log.read(table)
+        if not log.is_open(claimed["key"]):
+            table.release(claimed["key"], worker, claimed["nonce"])
+            continue
         completed += _run_point(table, cache, specs, claimed, chaos, ttl)
     for signum, handler in restore.items():
         signal.signal(signum, handler)
@@ -719,6 +761,7 @@ def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
                lease: dict, chaos: ChaosPlan | None, ttl: float) -> int:
     """Execute one leased point end to end; returns 1 on a ``done``."""
     key, worker, attempt = lease["key"], lease["worker"], lease["attempt"]
+    nonce = lease["nonce"]
     shard = table.shard(key)
 
     # stall-heartbeat chaos: no renewals + a stall longer than the ttl,
@@ -728,7 +771,7 @@ def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
             and chaos_coin(key, attempt) < chaos.num(0, 1.0)):
         time.sleep(chaos.num(1, 2.5 * ttl))
         current = table.read_lease(key)
-        if (not current or current.get("nonce") != lease["nonce"]):
+        if (not current or current.get("nonce") != nonce):
             table.append({"ev": "abandon", "key": key, "worker": worker,
                           "attempt": attempt, "reason": "fenced"})
             return 0
@@ -754,23 +797,54 @@ def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
         if chaos is not None and chaos.mode == "torn-write":
             if chaos_coin(key, attempt) < chaos.num(0, 1.0):
                 _torn_write(cache, key)  # does not return
-        status = _simulate_guarded(specs[key])
+        interval = table.settings.get("sample_interval")
+        context = None if interval is None else TelemetryContext(
+            sample_interval=interval, id_prefix=f"{key[:12]}.{nonce}.")
+        status = _simulate_guarded(specs[key], context)
+        if status[-1] is not None:  # the attempt's spans and metrics
+            write_atomic(table.payload_path(key, nonce),
+                         pickle.dumps(status[-1]), fsync=False)
         if status[0] == "ok":
             _, result, elapsed, _payload = status
-            cache.put(key, result)  # crash-atomic: whole entry or nothing
+            if table.settings.get("durable", True):
+                cache.put(key, result)  # crash-atomic: whole entry or nothing
+            else:  # a private queue's own results: atomic, never fsync'd
+                write_atomic(os.path.join(cache.directory, f"{key}.pkl"),
+                             pickle.dumps(result), fsync=False)
             table.append({"ev": "done", "key": key, "worker": worker,
-                          "attempt": attempt,
+                          "attempt": attempt, "nonce": nonce,
                           "elapsed": round(elapsed, 6),
                           "shard": shard})
             return 1
         _, message, traceback_text, _elapsed, _payload = status
         table.append({"ev": "error", "key": key, "worker": worker,
-                      "attempt": attempt, "error": message,
+                      "attempt": attempt, "nonce": nonce, "error": message,
                       "tb": traceback_text, "shard": shard})
         return 0
     finally:
         heartbeat.stop()
-        table.release(key, worker, lease["nonce"])
+        table.release(key, worker, nonce)
+
+
+def _forked_worker(queue_dir: str, worker_id: str, generation: int,
+                   log_path: str) -> None:
+    """Body of a forked local worker: :func:`worker_main` writing to its
+    own log file, so nothing it prints reaches the coordinator's output.
+    It leaves with ``os._exit``: nothing inherited from the coordinator
+    (atexit hooks, buffered streams) runs twice."""
+    with open(log_path, "a", buffering=1) as log:
+        os.dup2(log.fileno(), 1)
+        os.dup2(log.fileno(), 2)
+        sys.stdout = sys.stderr = log
+        code = 1
+        try:
+            code = worker_main(queue_dir, worker_id=worker_id, wait_s=30.0,
+                               generation=generation)
+        except Exception:
+            traceback.print_exc()  # into the log: the exit code says the rest
+        finally:
+            log.flush()
+            os._exit(code)
 
 
 # ----------------------------------------------------------------------
@@ -820,16 +894,26 @@ class FabricStats:
 class FabricCoordinator:
     """Seed, supervise and harvest one queue directory.
 
-    Driven by :meth:`SweepRunner.run` in fabric mode: ``execute`` blocks
-    until every pending point is done or quarantined (or a drain was
-    requested via ``stop``), feeding completions and failures into the
-    runner's ordinary accounting closures so fabric sweeps produce the
-    same :class:`~repro.exec.runner.SweepReport` as pool sweeps.
+    Driven by :meth:`SweepRunner.run` for every parallel sweep:
+    ``execute`` blocks until every pending point is done or failed (or a
+    drain was requested via ``stop``), feeding completions, failed
+    attempts and each attempt's telemetry into the runner's accounting
+    closures, so every parallel sweep produces the same
+    :class:`~repro.exec.runner.SweepReport`.  ``point_timeout`` (seconds)
+    bounds how long a local worker may hold one lease, counted from the
+    claim; external workers cannot be killed, so only their lease ttl
+    bounds them.  ``private`` marks a queue directory the runner made
+    for this run alone and removes afterwards: when it also holds the
+    results (the runner's cache is memory-only), nothing in it is
+    fsync'd (queue setting ``durable: false``).
     """
 
-    def __init__(self, config: FabricConfig, telemetry=None):
+    def __init__(self, config: FabricConfig, telemetry=None,
+                 point_timeout: float | None = None, private: bool = False):
         self.config = config
         self.telemetry = telemetry
+        self.point_timeout = point_timeout
+        self.private = private
         self.stats = FabricStats()
 
     # -- metrics helpers -------------------------------------------------
@@ -842,91 +926,145 @@ class FabricCoordinator:
             self.telemetry.metrics.gauge(name, help_text, **labels).set(value)
 
     # -- worker process management --------------------------------------
-    def _spawn_worker(self, slot: int, generation: int):
+    def _spawn_worker(self, slot: int, generation: int) -> dict:
+        """Fork one local worker into :func:`worker_main`.
+
+        Forked rather than launched: the worker starts in milliseconds with
+        the simulator already imported, where a fresh interpreter pays
+        about 0.3 s to import it.
+        """
+        import multiprocessing
+
         queue = self.config.queue_dir
         worker_id = f"w{slot}g{generation}"
-        log_path = Path(queue) / WORKERS_DIR / f"{worker_id}.log"
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        log = open(log_path, "ab")
-        import repro
-
-        package_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = package_root + (
-            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--queue", str(queue),
-             "--id", worker_id, "--wait", "30",
-             "--generation", str(generation)],
-            stdout=log, stderr=subprocess.STDOUT, env=env,
-        )
+        log_path = os.path.join(queue, WORKERS_DIR, f"{worker_id}.log")
+        proc = multiprocessing.get_context("fork").Process(
+            target=_forked_worker,
+            args=(queue, worker_id, generation, log_path), daemon=True)
+        proc.start()
         self.stats.workers_spawned += 1
         self._count("fabric_worker_spawns_total")
-        return {"proc": proc, "id": worker_id, "log": log, "slot": slot,
-                "generation": generation}
+        return {"proc": proc, "id": worker_id, "slot": slot,
+                "generation": generation, "timed_out": None}
+
+    def _kill_overdue(self, table: LeaseTable, workers: list) -> None:
+        """SIGKILL every local worker holding a lease claimed more than
+        ``point_timeout`` seconds ago; reaping it expires that lease as a
+        timeout."""
+        local = {info["id"]: info for info in workers}
+        now = time.time()
+        for entry in table.lease_files():
+            lease = read_json(entry.path)
+            info = local.get(lease.get("worker")) if lease else None
+            if (info is None or info["timed_out"] is not None
+                    or now - float(lease.get("claimed", now))
+                    <= self.point_timeout):
+                continue
+            info["proc"].kill()
+            info["proc"].join()
+            info["timed_out"] = lease.get("nonce")
+
+    @staticmethod
+    def _stop_workers(workers: list) -> None:
+        """Drain every live local worker (SIGTERM); SIGKILL stragglers."""
+        for info in workers:
+            if info["proc"].exitcode is None:
+                info["proc"].terminate()
+        deadline = time.monotonic() + 5.0
+        for info in workers:
+            proc = info["proc"]
+            proc.join(max(0.1, deadline - time.monotonic()))
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
+            proc.close()
+
+    def _payload(self, table: LeaseTable, event: dict):
+        """Take the telemetry payload a ``done``/``error`` attempt left
+        (None when the sweep is uninstrumented or the attempt left none)."""
+        if (self.telemetry is None or event.get("ev") not in ("done", "error")
+                or "nonce" not in event):
+            return None
+        path = table.payload_path(event["key"], event["nonce"])
+        try:
+            with open(path, "rb") as handle:
+                payload = pickle.load(handle)
+            os.unlink(path)
+        except (OSError, pickle.UnpicklingError, EOFError):
+            return None
+        return payload
 
     # -- main loop -------------------------------------------------------
-    def execute(self, pending, cache, complete, fail, stop,
-                fingerprint: str | None = None) -> FabricStats:
+    def execute(self, pending, cache, stop, fingerprint: str, *, complete,
+                fail, absorb, attempt_failed) -> FabricStats:
         """Run every ``(key, spec)`` in ``pending`` through the fabric.
 
-        ``complete(key, result, elapsed)`` / ``fail(key, kind, error, tb,
-        attempts, history=...)`` are the runner's accounting closures;
-        ``stop`` is a :class:`threading.Event` requesting a graceful
-        drain (finish in-flight leases, then return with the remainder
-        unrun).  ``fingerprint`` must identify the *whole* sweep (the
-        runner passes its checkpoint-manifest fingerprint), not just the
-        still-pending subset -- that is what lets a resumed sweep, whose
-        pending set has shrunk, adopt the same queue directory.
+        ``complete(key, result, elapsed, payload, published)``, ``fail(key,
+        kind, error, tb, attempts, payload=..., history=...)``,
+        ``absorb(key, payload)`` and ``attempt_failed(kind, retrying=...)``
+        are the runner's accounting closures; ``stop`` is a
+        :class:`threading.Event` requesting a graceful drain (finish
+        in-flight leases, then return with the remainder unrun).
+        ``fingerprint`` must identify the *whole* sweep (the runner passes
+        its checkpoint-manifest fingerprint), not just the still-pending
+        subset -- that is what lets a resumed sweep, whose pending set has
+        shrunk, adopt the same queue directory.
         """
         config = self.config
         table = LeaseTable(config.queue_dir)
-        from repro.noc.spec import stable_key
-
         keys = [key for key, _ in pending]
         results_dir = cache.directory or str(Path(config.queue_dir) / RESULTS_DIR)
-        adopted = table.seed(
-            pending,
-            fingerprint=fingerprint or stable_key(tuple(sorted(keys))),
-            results_dir=results_dir,
-            settings={
-                "lease_ttl_s": config.lease_ttl_s,
-                "heartbeat_s": None,
-                "quarantine_after": config.quarantine_after,
-                "shards": SHARDS,
-            },
-        )
+        settings = {"lease_ttl_s": config.lease_ttl_s,
+                    "quarantine_after": config.quarantine_after,
+                    "shards": SHARDS}
+        if self.private and cache.directory is None:
+            settings["durable"] = False
+        if self.telemetry is not None:
+            settings["sample_interval"] = self.telemetry.sample_interval
+        adopted = table.seed(pending, fingerprint=fingerprint,
+                             results_dir=results_dir, settings=settings)
         if adopted:
             # the dead coordinator's drain or shutdown bound only it
             table.append({"ev": "resume",
                           "quarantine_after": config.quarantine_after})
         log = QueueLog.of(table)
         transport = ResultCache(directory=table.meta["results_dir"])
+        # a worker publishing into the runner's own cache directory has
+        # already checkpointed the point: its result is handed over unwritten
+        published = (cache.directory is not None and
+                     os.path.abspath(cache.directory) == transport.directory)
         if self.telemetry is not None:
             self.telemetry.metrics.preregister(FABRIC_COUNTER_HELP,
                                                gauges=FABRIC_GAUGE_HELP)
         open_keys = set(keys)  # pending points not yet completed or failed
 
         def harvest() -> None:
-            """Fold new events; hand the points they close to the runner."""
-            for key in dict.fromkeys(event.get("key")
-                                     for event in log.read(table)):
-                if key not in open_keys or log.is_open(key):
+            """Fold new events; hand the runner each failed attempt, each
+            attempt's telemetry and the points the events close."""
+            for event, verdict in log.read(table):
+                kind, key = event.get("ev"), event.get("key")
+                if key not in open_keys:
                     continue
-                if key in log.quarantined:
+                if (verdict in ("retry", "quarantined")
+                        and kind != "quarantine"):
+                    attempt_failed(attempt_cause(event),
+                                   retrying=verdict == "retry")
+                payload = self._payload(table, event)
+                if verdict == "quarantined":
                     open_keys.discard(key)
-                    self._quarantine(key, log, fail)
+                    self._fail(key, log, fail, payload)
                     continue
-                result = transport.get(key)
-                if result is None:
+                if verdict == "done":
+                    result = transport.get(key)
+                    if result is not None:
+                        open_keys.discard(key)
+                        elapsed = float(event.get("elapsed") or 0.0)
+                        complete(key, result, elapsed, payload, published)
+                        continue
                     # torn or deleted behind its done: reopen the point
                     # for every reader, so a worker runs it again
                     table.append({"ev": "lost", "key": key})
-                    continue
-                open_keys.discard(key)
-                complete(key, result,
-                         float(log.done[key].get("elapsed") or 0.0))
+                absorb(key, payload)
 
         harvest()
         if adopted:
@@ -943,19 +1081,21 @@ class FabricCoordinator:
         try:
             while True:
                 harvest()
+                if self.point_timeout is not None:
+                    self._kill_overdue(table, workers)
 
                 # reap local workers; fast-reclaim their leases; respawn
                 alive = []
                 for info in workers:
-                    code = info["proc"].poll()
+                    code = info["proc"].exitcode
                     if code is None:
                         alive.append(info)
                         continue
-                    info["log"].close()
+                    info["proc"].close()
                     if code != 0:
                         self.stats.worker_deaths += 1
                         self._count("fabric_worker_deaths_total")
-                        table.reclaim_worker(info["id"])
+                        table.reclaim_worker(info["id"], info["timed_out"])
                     if not draining and open_keys and not stop.is_set():
                         alive.append(self._spawn_worker(
                             info["slot"], info["generation"] + 1))
@@ -983,38 +1123,37 @@ class FabricCoordinator:
                 time.sleep(POLL_S)
             harvest()  # completions that landed while we were leaving
         finally:
-            for info in workers:
-                proc = info["proc"]
-                if proc.poll() is None:
-                    proc.terminate()
-            deadline = time.monotonic() + 5.0
-            for info in workers:
-                proc = info["proc"]
-                try:
-                    proc.wait(timeout=max(0.1, deadline - time.monotonic()))
-                except subprocess.TimeoutExpired:
-                    proc.kill()
-                    proc.wait()
-                try:
-                    info["log"].close()
-                except OSError:
-                    pass
+            self._stop_workers(workers)
             self._tally(log)
         return self.stats
 
     @staticmethod
-    def _quarantine(key: str, log: QueueLog, fail) -> None:
-        """Report a point the fold quarantined, with its attempt trail."""
-        failed_on = log.failed_on.get(key, [])
-        history = log.history.get(key, [])
-        last_error = next((entry for entry in reversed(history)
-                           if entry["event"] == "error"), None)
-        detail = f": last error {last_error['error']}" if last_error else ""
-        fail(key, "quarantined",
-             f"{len(failed_on)} failed attempt(s) on "
-             f"{len(set(failed_on))} distinct worker(s){detail}",
-             last_error.get("tb") if last_error else None,
-             len(failed_on), history=history)
+    def _fail(key: str, log: QueueLog, fail, payload) -> None:
+        """Report a point the fold closed as failed, with its attempt trail.
+
+        A point closed after one failed attempt reports that attempt's
+        cause (:func:`attempt_cause`); one the circuit breaker closed
+        after two or more is ``quarantined``.
+        """
+        failures = log.failures.get(key, [])
+        last_error = next((event for event in reversed(failures)
+                           if event.get("ev") == "error"), None)
+        if len(failures) == 1:
+            kind = attempt_cause(failures[0])
+            worker = failures[0].get("worker", "?")
+            error = {"error": last_error and last_error.get("error"),
+                     "crash": f"{worker} died or stalled holding the lease",
+                     "timeout": f"{worker} held the lease past point_timeout "
+                                f"and was killed"}[kind]
+        else:
+            kind = "quarantined"
+            workers = {event.get("worker", "?") for event in failures}
+            detail = (f": last error {last_error['error']}" if last_error
+                      else "")
+            error = (f"{len(failures)} failed attempt(s) on "
+                     f"{len(workers)} distinct worker(s){detail}")
+        fail(key, kind, error, last_error.get("tb") if last_error else None,
+             len(failures), payload=payload, history=log.history.get(key, []))
 
     def _tally(self, log: QueueLog) -> None:
         """Copy the fold's churn counts into the stats and the metrics."""
@@ -1150,6 +1289,7 @@ __all__ = [
     "LeaseTable",
     "QueueError",
     "QueueLog",
+    "attempt_cause",
     "audit_queue",
     "chaos_coin",
     "worker_main",

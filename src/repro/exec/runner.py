@@ -1,4 +1,4 @@
-"""Parallel sweep execution over simulation specs.
+"""Sweep execution over simulation specs: serial, or on the lease fabric.
 
 :class:`SweepRunner` takes a list of :class:`~repro.noc.spec.SimulationSpec`
 values -- an injection-rate x pattern x sprint-level grid, a PARSEC
@@ -8,9 +8,12 @@ scheme comparison, any batch of independent runs -- and executes them:
    :class:`~repro.exec.cache.ResultCache` are returned without simulating;
 2. **dedup** -- identical specs appearing more than once in a sweep are
    simulated exactly once;
-3. **fan-out** -- remaining points run on a ``ProcessPoolExecutor`` when
-   ``workers > 1`` (with a transparent serial fallback when the pool is
-   unavailable, e.g. on restricted platforms), or serially otherwise.
+3. **fan-out** -- when ``workers > 1`` and more than one point is left,
+   the points run on the lease-based fabric (:mod:`repro.exec.fabric`)
+   with ``workers`` forked local workers, through a private queue
+   directory that only this run uses and that it deletes afterwards;
+   otherwise they run serially in this process.  An explicit ``fabric``
+   config runs them on its own queue directory instead.
 
 Because a spec carries its own traffic seed and every worker rebuilds the
 generator from the spec, parallel and serial execution produce
@@ -18,13 +21,12 @@ generator from the spec, parallel and serial execution produce
 ordering of the returned points always matches the order of the input
 specs, never completion order.
 
-The fan-out is failure-isolated: each point is submitted as its own
-future, so one point raising, hanging past ``point_timeout``, or killing
-its worker outright (``BrokenProcessPool``) costs only that point.
-Survivors are returned as usual while the casualties come back as
-:class:`FailedPoint` records (with the worker's traceback) on
-``SweepReport.failures``; ``max_retries`` re-attempts flaky points with
-exponential backoff.  Every completed point is written to the cache the
+The fan-out is failure-isolated: a point that raises, holds its lease
+past ``point_timeout`` (its worker is killed), or kills its worker
+outright costs only that point.  Survivors are returned as usual while
+the casualties come back as :class:`FailedPoint` records (with the
+worker's traceback) on ``SweepReport.failures``; ``max_retries``
+re-attempts flaky points.  Every completed point is in the cache the
 moment it finishes, so an interrupted sweep resumes from its checkpoint:
 re-running the same spec list against the same cache re-simulates only
 the unfinished points.
@@ -34,11 +36,11 @@ from __future__ import annotations
 
 import inspect
 import os
-import signal
+import shutil
+import tempfile
 import threading
 import time
 import traceback as _tb
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -153,38 +155,6 @@ def _progress_accepts_outcome(progress) -> bool:
     return positional >= 4
 
 
-def _ignore_sigint() -> None:
-    """Pool-worker initializer: the parent owns Ctrl-C.
-
-    A terminal SIGINT goes to the whole foreground process group; if the
-    pool children raised ``KeyboardInterrupt`` mid-simulation the graceful
-    drain (finish in-flight points, checkpoint, resume hint) would race a
-    pile of broken futures.  Workers ignore the signal; the parent decides.
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):
-        pass  # not the main thread of the worker (exotic start methods)
-
-
-def _kill_pool(pool) -> None:
-    """Tear a process pool down *now*, including hung workers.
-
-    ``shutdown(cancel_futures=True)`` only cancels queued work; a worker
-    stuck inside a simulation must be terminated out from under it first.
-    The shutdown then waits: with every worker dead the join is immediate,
-    and leaving the manager thread running would race the interpreter's
-    atexit hook (spurious ``Bad file descriptor`` noise at exit).
-    """
-    processes = getattr(pool, "_processes", None)
-    for proc in list(processes.values()) if processes else []:
-        try:
-            proc.terminate()
-        except (OSError, ValueError, AttributeError):
-            pass
-    pool.shutdown(wait=True, cancel_futures=True)
-
-
 @dataclass
 class SweepPoint:
     """One executed (or cache-served) point of a sweep."""
@@ -210,9 +180,9 @@ class FailedPoint:
     error: str
     traceback: str | None
     attempts: int
-    #: Per-attempt event trail (fabric sweeps): dicts with at least an
+    #: Per-attempt event trail (parallel sweeps): dicts with at least an
     #: ``event`` ("claim"/"error"/"expired"/...) and a ``worker``, so a
-    #: quarantined point is diagnosable from the terminal.
+    #: failed point is diagnosable from the terminal.
     history: tuple = ()
 
     @property
@@ -227,7 +197,7 @@ class FailedPoint:
         )
 
     def history_lines(self) -> list[str]:
-        """One line per recorded attempt event (empty for pool sweeps)."""
+        """One line per recorded attempt event (empty for serial sweeps)."""
         lines = []
         for entry in self.history:
             event = entry.get("event", "?")
@@ -235,6 +205,8 @@ class FailedPoint:
             if event == "claim":
                 lines.append(f"leased to {worker} "
                              f"(attempt {entry.get('attempt', '?')})")
+            elif event == "expired" and entry.get("reason") == "timeout":
+                lines.append(f"{worker} killed past point_timeout")
             elif event == "expired":
                 lines.append(f"lease expired on {worker} "
                              f"(worker died or stalled)")
@@ -328,8 +300,12 @@ class SweepReport:
 class SweepRunner:
     """Execute batches of independent simulation specs, cached and parallel.
 
-    ``workers=1`` (the default) runs serially; ``workers>1`` fans out over a
-    process pool, one future per point.  ``cache=None`` gives the runner a
+    ``workers=1`` (the default) runs serially; ``workers>1`` runs the
+    points on the lease fabric with up to that many forked local workers,
+    through a private queue directory removed when the run ends.  A
+    ``fabric`` (:class:`~repro.exec.fabric.FabricConfig`) runs them on its
+    queue directory and worker count instead, so external ``repro worker``
+    processes can join.  ``cache=None`` gives the runner a
     private in-memory cache; pass a shared :class:`ResultCache` to reuse
     results across runners, benchmarks and CLI invocations.  ``progress``
     (if given) is called the moment each point completes -- cache hits
@@ -348,12 +324,15 @@ class SweepRunner:
     ``result_cache_*`` gauges.  ``None`` (the default) costs nothing.
 
     Failure policy: a point that raises is retried up to ``max_retries``
-    times with exponential backoff (``retry_backoff_s`` doubling per
-    attempt); one that runs past ``point_timeout`` seconds or kills its
-    worker is isolated, charged an attempt and retried likewise.  Points
-    that exhaust their attempts are reported on ``SweepReport.failures``
-    instead of poisoning the sweep.  Serial runs cannot preempt a hung
-    simulation, so ``point_timeout`` is only enforced when ``workers > 1``.
+    times; one whose local worker holds it past ``point_timeout`` seconds
+    (the worker is killed) or dies is charged an attempt and retried
+    likewise.  Serial retries wait ``retry_backoff_s``, doubling per
+    attempt; parallel retries re-lease at once.  Points that exhaust
+    their attempts are reported on ``SweepReport.failures`` instead of
+    poisoning the sweep.  Serial runs cannot preempt a hung simulation,
+    so ``point_timeout`` is only enforced on parallel runs.  An explicit
+    ``fabric`` config keeps its own ``quarantine_after`` in place of
+    ``max_retries``.
     """
 
     def __init__(
@@ -370,9 +349,8 @@ class SweepRunner:
         ledger_kind: str = "sweep",
         fabric=None,
     ):
-        # fabric mode (a FabricConfig): execution is delegated to the
-        # lease-based work queue, whose local worker count lives on the
-        # config -- `workers=0` is then legal (external workers only)
+        # an explicit FabricConfig carries its own local worker count,
+        # so `workers=0` is then legal (external workers only)
         if fabric is not None:
             if workers < 0:
                 raise ValueError("workers must be >= 0 in fabric mode")
@@ -425,7 +403,8 @@ class SweepRunner:
         # the checkpoint manifest: a sweep is identified by the content
         # hashes of its points, so re-running the same spec list against
         # the same cache is recognized as a resume
-        manifest_name = "sweep-" + stable_key(tuple(keys))[:32]
+        fingerprint = stable_key(tuple(keys))
+        manifest_name = "sweep-" + fingerprint[:32]
         prior_manifest = self.cache.get_json(manifest_name)
         self.cache.put_json(manifest_name, {"total": total, "keys": keys})
 
@@ -460,7 +439,9 @@ class SweepRunner:
             return tel.worker_context(f"{point_span(key).id}.a{attempt}.")
 
         def absorb(key: str, payload) -> None:
-            if tel is not None and payload:
+            # opens the point span too, so a fabric point's span starts
+            # at the first event the coordinator folds for it (its claim)
+            if tel is not None:
                 tel.absorb(payload, point_span(key).id)
 
         # the callback present now serves the whole run, whenever it was
@@ -498,9 +479,14 @@ class SweepRunner:
         succeeded: set[str] = set()
 
         def complete(key: str, result: SimulationResult, elapsed: float,
-                     payload=None) -> None:
+                     payload=None, published: bool = False) -> None:
             nonlocal done
-            self.cache.put(key, result)  # checkpoint: resumable immediately
+            # checkpoint: resumable immediately (a fabric worker that
+            # wrote the result into our cache directory already made it so)
+            if published:
+                self.cache.remember(key, result)
+            else:
+                self.cache.put(key, result)
             succeeded.add(key)
             absorb(key, payload)
             if tel is not None:
@@ -553,21 +539,15 @@ class SweepRunner:
                 tel.metrics.counter("sweep_retries_total").inc()
 
         fabric_stats = None
-        if self.fabric is not None and unique:
-            parallel = True  # separate worker processes, even when external
-            fabric_stats = self._run_fabric(unique, complete, fail, tel,
-                                            stable_key(tuple(keys)))
+        # an explicit fabric runs in separate processes, even external ones
+        parallel = bool(unique) and (self.fabric is not None
+                                     or (self.workers > 1 and len(unique) > 1))
+        if parallel:
+            fabric_stats = self._run_fabric(unique, complete, fail, absorb,
+                                            attempt_failed, tel, fingerprint)
         else:
-            parallel = self.workers > 1 and len(unique) > 1
-            if parallel:
-                if not self._run_parallel(unique, complete, fail, worker_ctx,
-                                          absorb, attempt_failed):
-                    parallel = False  # pool unavailable: transparent fallback
-                    self._run_serial(unique, complete, fail, worker_ctx,
-                                     absorb, attempt_failed)
-            else:
-                self._run_serial(unique, complete, fail, worker_ctx,
-                                 absorb, attempt_failed)
+            self._run_serial(unique, complete, fail, worker_ctx,
+                             absorb, attempt_failed)
 
         interrupted = self._stop.is_set() and done < total
         if interrupted:
@@ -606,12 +586,13 @@ class SweepRunner:
             fabric=fabric_stats,
         )
         report.run_record = self._record_run(
-            report, specs, keys, tel, time.process_time() - cpu_start
+            report, specs, keys, fingerprint, tel,
+            time.process_time() - cpu_start,
         )
         return report
 
-    def _record_run(self, report: SweepReport, specs, keys, tel,
-                    cpu_s: float) -> RunRecord | None:
+    def _record_run(self, report: SweepReport, specs, keys, fingerprint: str,
+                    tel, cpu_s: float) -> RunRecord | None:
         """Append this sweep's RunRecord to the ledger (best-effort)."""
         if not self.ledger.enabled:
             return None
@@ -639,31 +620,50 @@ class SweepRunner:
             points=point_payload,
             headline=headline,
             metrics=tel.metrics.snapshot() if tel is not None else None,
-            fingerprint=stable_key(tuple(keys)),
+            fingerprint=fingerprint,
         )
 
     # ------------------------------------------------------------------
     def _backoff(self, attempts: int) -> float:
         return self.retry_backoff_s * (2 ** max(0, attempts - 1))
 
-    def _run_fabric(self, unique, complete, fail, tel, fingerprint):
-        """Delegate execution to the lease-based work-queue fabric.
+    def _run_fabric(self, unique, complete, fail, absorb, attempt_failed,
+                    tel, fingerprint):
+        """Run the points on the lease-based work-queue fabric.
 
-        The fingerprint covers the *full* spec list (it matches the
-        checkpoint manifest), so a resume whose pending set has shrunk
-        still adopts the same queue directory.
+        Without an explicit ``fabric`` config the run gets a private
+        queue: a temporary directory removed on every way out, with one
+        local worker per point up to ``workers`` and a circuit breaker
+        at ``max_retries + 1`` failed attempts.  The fingerprint covers
+        the *full* spec list (it matches the checkpoint manifest), so a
+        resume whose pending set has shrunk still adopts an explicit
+        queue directory.
         """
-        from repro.exec.fabric import FabricCoordinator
+        from repro.exec.fabric import FabricConfig, FabricCoordinator
 
-        coordinator = FabricCoordinator(self.fabric, telemetry=tel)
-        return coordinator.execute(unique, self.cache, complete, fail,
-                                   self._stop, fingerprint=fingerprint)
+        config, private = self.fabric, None
+        if config is None:
+            private = tempfile.mkdtemp(prefix="repro-queue-")
+            config = FabricConfig(queue_dir=private,
+                                  workers=min(self.workers, len(unique)),
+                                  quarantine_after=self.max_retries + 1)
+        try:
+            coordinator = FabricCoordinator(config, telemetry=tel,
+                                            point_timeout=self.point_timeout,
+                                            private=private is not None)
+            return coordinator.execute(
+                unique, self.cache, self._stop, fingerprint,
+                complete=complete, fail=fail, absorb=absorb,
+                attempt_failed=attempt_failed)
+        finally:
+            if private is not None:
+                shutil.rmtree(private, ignore_errors=True)
 
     def _run_serial(self, unique, complete, fail, worker_ctx,
                     absorb, attempt_failed) -> None:
         # in-process execution cannot preempt a hung simulation, so
         # point_timeout is not enforced here; exceptions are still
-        # isolated and retried per point
+        # isolated and retried per point, with exponential backoff
         for key, spec in unique:
             if self._stop.is_set():
                 return  # graceful drain: unfinished points stay pending
@@ -682,195 +682,6 @@ class SweepRunner:
                 attempt_failed("error", retrying=True)
                 absorb(key, status[4])
                 time.sleep(self._backoff(attempts))
-
-    def _run_parallel(self, unique, complete, fail, worker_ctx,
-                      absorb, attempt_failed) -> bool:
-        """Per-future fan-out; returns False when no pool exists at all."""
-        try:
-            import concurrent.futures as cf
-            from concurrent.futures.process import BrokenProcessPool
-        except ImportError:
-            return False
-        try:
-            pool = cf.ProcessPoolExecutor(max_workers=self.workers,
-                                          initializer=_ignore_sigint)
-        except (ImportError, OSError, ValueError, RuntimeError):
-            return False  # e.g. no os.fork / sem_open on this platform
-
-        tasks = {key: {"spec": spec, "attempts": 0} for key, spec in unique}
-        ready = deque(key for key, _ in unique)
-        delayed: list[tuple[float, str]] = []  # (resume-at, key) backoffs
-        running: dict = {}  # future -> (key, deadline | None)
-
-        def rebuild_pool():
-            nonlocal pool
-            _kill_pool(pool)
-            pool = cf.ProcessPoolExecutor(max_workers=self.workers,
-                                          initializer=_ignore_sigint)
-
-        def retry_or_fail(key: str, kind: str, error: str, tb,
-                          payload=None) -> None:
-            task = tasks[key]
-            absorb(key, payload)  # keep the failed attempt's spans/metrics
-            if task["attempts"] > self.max_retries:
-                attempt_failed(kind, retrying=False)
-                fail(key, kind, error, tb, task["attempts"])
-            else:
-                attempt_failed(kind, retrying=True)
-                delayed.append(
-                    (time.monotonic() + self._backoff(task["attempts"]), key)
-                )
-
-        def probe(key: str) -> None:
-            """Re-run a pool-break suspect alone, for exact attribution.
-
-            When the shared pool breaks, every in-flight future fails with
-            ``BrokenProcessPool`` -- the crasher and its innocent
-            bystanders are indistinguishable.  A fresh single-worker pool
-            answers the question per point: if it breaks again the point
-            really kills its worker; if it completes, the point was
-            collateral damage (and its result is used, uncharged).
-            """
-            task = tasks[key]
-            iso = cf.ProcessPoolExecutor(max_workers=1,
-                                         initializer=_ignore_sigint)
-            try:
-                future = iso.submit(
-                    _simulate_guarded, task["spec"],
-                    worker_ctx(key, task["attempts"]),
-                )
-                try:
-                    status = future.result(timeout=self.point_timeout)
-                except BrokenProcessPool:
-                    retry_or_fail(
-                        key, "crash",
-                        "worker process died (BrokenProcessPool)", None,
-                    )
-                    return
-                except cf.TimeoutError:
-                    retry_or_fail(
-                        key, "timeout",
-                        f"no result within point_timeout={self.point_timeout}s",
-                        None,
-                    )
-                    return
-                if status[0] == "ok":
-                    complete(key, status[1], status[2], status[3])
-                else:
-                    retry_or_fail(key, "error", status[1], status[2],
-                                  status[4])
-            finally:
-                _kill_pool(iso)
-
-        def handle_break(first_suspects: list) -> None:
-            suspects = first_suspects + [key for key, _ in running.values()]
-            running.clear()
-            rebuild_pool()
-            for key in suspects:
-                probe(key)
-
-        try:
-            while ready or delayed or running:
-                if self._stop.is_set():
-                    # graceful drain: dispatch nothing more, but let every
-                    # in-flight point finish and checkpoint normally
-                    ready.clear()
-                    delayed = []
-                    if not running:
-                        break
-                now = time.monotonic()
-                if delayed:  # promote backoffs whose delay has elapsed
-                    still = [(t, k) for t, k in delayed if t > now]
-                    for t, k in delayed:
-                        if t <= now:
-                            ready.append(k)
-                    delayed = still
-                while ready and len(running) < self.workers:
-                    key = ready.popleft()
-                    task = tasks[key]
-                    task["attempts"] += 1
-                    try:
-                        future = pool.submit(
-                            _simulate_guarded, task["spec"],
-                            worker_ctx(key, task["attempts"]),
-                        )
-                    except BrokenProcessPool:
-                        task["attempts"] -= 1  # never actually ran
-                        ready.appendleft(key)
-                        handle_break([])
-                        continue
-                    deadline = (
-                        now + self.point_timeout if self.point_timeout else None
-                    )
-                    running[future] = (key, deadline)
-                if not running:
-                    if delayed:  # everything is backing off
-                        time.sleep(max(0.0, min(t for t, _ in delayed) - now))
-                    continue
-
-                wake_ups = [d for _, d in running.values() if d is not None]
-                wake_ups.extend(t for t, _ in delayed)
-                wait_timeout = (
-                    max(0.0, min(wake_ups) - now) + 1e-3 if wake_ups else None
-                )
-                finished, _ = cf.wait(
-                    set(running), timeout=wait_timeout,
-                    return_when=cf.FIRST_COMPLETED,
-                )
-
-                broken_suspects = []
-                for future in finished:
-                    key, _ = running.pop(future)
-                    try:
-                        status = future.result()
-                    except BrokenProcessPool:
-                        broken_suspects.append(key)
-                        continue
-                    except Exception as exc:  # e.g. result unpickling
-                        retry_or_fail(
-                            key, "error", f"{type(exc).__name__}: {exc}", None
-                        )
-                        continue
-                    if status[0] == "ok":
-                        complete(key, status[1], status[2], status[3])
-                    else:
-                        retry_or_fail(key, "error", status[1], status[2],
-                                      status[4])
-                if broken_suspects:
-                    handle_break(broken_suspects)
-                    continue
-
-                now = time.monotonic()
-                overdue = [
-                    (future, key)
-                    for future, (key, deadline) in running.items()
-                    if deadline is not None and deadline <= now
-                    and not future.done()
-                ]
-                if overdue:
-                    # a hung worker cannot be cancelled: tear the pool down,
-                    # charge the overdue points, resubmit the innocent
-                    # in-flight points uncharged
-                    victims = {future for future, _ in overdue}
-                    innocents = [
-                        key
-                        for future, (key, _) in running.items()
-                        if future not in victims
-                    ]
-                    running.clear()
-                    rebuild_pool()
-                    for _, key in overdue:
-                        retry_or_fail(
-                            key, "timeout",
-                            f"exceeded point_timeout={self.point_timeout}s",
-                            None,
-                        )
-                    for key in innocents:
-                        tasks[key]["attempts"] -= 1
-                        ready.append(key)
-        finally:
-            _kill_pool(pool)
-        return True
 
 
 __all__ = ["FailedPoint", "SweepPoint", "SweepReport", "SweepRunner", "CHAOS_ENV"]

@@ -11,9 +11,10 @@
   (cross-process) plus an in-process event table (cross-thread), so N
   concurrent identical submissions cost exactly one simulation;
 - the existing execution engine: claimed specs are batched through a
-  :class:`~repro.exec.runner.SweepRunner` (process pool or sweep
-  fabric), which also writes the run ledger -- service runs file under
-  ``kind="service"`` with the client identity as the label;
+  :class:`~repro.exec.runner.SweepRunner` (serial, or the sweep fabric
+  when ``workers > 1``), which also writes the run ledger -- service
+  runs file under ``kind="service"`` with the client identity as the
+  label;
 - per-client admission (:class:`~repro.service.budget.ClientAccounts`)
   and the ``service_*`` metrics series.
 
@@ -88,9 +89,10 @@ class ExperimentService:
     """Accept wire-format specs, evaluate each unique one exactly once.
 
     ``workers`` is the process fan-out each claimed batch is executed
-    with; ``fabric`` (a :class:`~repro.exec.fabric.FabricConfig`) routes
-    batches through the lease-based work queue instead, each batch under
-    a queue derived via :meth:`FabricConfig.for_batch`.  ``accounts``
+    with (on a private fabric queue when above 1); ``fabric`` (a
+    :class:`~repro.exec.fabric.FabricConfig`) roots each batch's queue
+    under its directory instead, derived via
+    :meth:`FabricConfig.for_batch`.  ``accounts``
     carries the per-client admission policy; the default is permissive
     (no budget, generous rate).  ``executor_threads`` bounds concurrent
     batch executions *and* external-claim waiters.

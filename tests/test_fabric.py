@@ -15,6 +15,7 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -65,8 +66,7 @@ def seeded_table(tmp_path, specs=None, ttl=5.0) -> LeaseTable:
         [(s.cache_key(), s) for s in specs],
         fingerprint="fp-test",
         results_dir=str(tmp_path / "results"),
-        settings={"lease_ttl_s": ttl, "heartbeat_s": None,
-                  "quarantine_after": 3},
+        settings={"lease_ttl_s": ttl, "quarantine_after": 3},
     )
     return table
 
@@ -211,6 +211,48 @@ class TestFabricSweep:
         assert audit.ok, audit.summary()
         assert audit.done == len(specs)
 
+    def test_private_queue_removed_on_every_way_out(self, tmp_path,
+                                                    monkeypatch):
+        # completion, a drain and an exception out of the run all leave
+        # no private queue directory behind
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        specs = grid(levels=(2, 4, 8, 16), rates=(0.1, 0.2, 0.3),
+                     backend="reference", warmup_cycles=200,
+                     measure_cycles=800, drain_cycles=1500)
+
+        def leftovers():
+            return list(tmp_path.glob("repro-queue-*"))
+
+        assert SweepRunner(workers=2).run(specs).ok
+        assert leftovers() == []
+        runner = SweepRunner(workers=2)
+        runner.progress = lambda done, total, point: runner.request_stop()
+        assert runner.run(specs).interrupted
+        assert leftovers() == []
+
+        def explode(done, total, point):
+            raise RuntimeError("progress callback failed")
+
+        with pytest.raises(RuntimeError, match="progress callback failed"):
+            SweepRunner(workers=2, progress=explode).run(specs)
+        assert leftovers() == []
+
+    @pytest.mark.parametrize("fabric", [False, True],
+                             ids=["private-queue", "explicit-fabric"])
+    def test_results_written_once(self, tmp_path, fabric):
+        # workers publish straight into the runner's cache directory, so
+        # the runner itself writes nothing, and the next run hits it all
+        specs = grid()
+        config = (FabricConfig(queue_dir=str(tmp_path / "q"), workers=2)
+                  if fabric else None)
+        report = SweepRunner(workers=2, fabric=config, cache=ResultCache(
+            directory=str(tmp_path / "c"))).run(specs)
+        assert report.ok and report.simulated == len(specs)
+        assert report.cache_stats.bytes_written == 0
+        again = SweepRunner(cache=ResultCache(
+            directory=str(tmp_path / "c"))).run(specs)
+        assert again.cache_hits == len(specs) and again.simulated == 0
+
     def test_quarantines_poisoned_point_with_history(self, tmp_path,
                                                      monkeypatch):
         # every attempt errors (chaos 'raise' fires inside the simulation
@@ -258,10 +300,12 @@ class TestFabricSweep:
         assert "2 failed attempt(s) on 1 distinct worker(s)" in failure.error
 
     def test_survives_kill9_worker_churn(self, tmp_path, monkeypatch):
-        # workers SIGKILL themselves 0.2-0.5s after starting; the reference
-        # backend keeps points slow enough that deaths land mid-lease, and
-        # the sweep must still complete every point exactly once
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.2:0.3")
+        # workers SIGKILL themselves 0.08-0.15s after starting: past the
+        # slowest point run alone (about 0.08s on the reference backend),
+        # short of the quickest whole sweep (about 0.15s), so deaths land
+        # mid-lease on every run and the sweep must still complete every
+        # point exactly once
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.08:0.07")
         specs = grid(levels=(2, 4, 8), rates=(0.1, 0.3),
                      backend="reference", warmup_cycles=200,
                      measure_cycles=800, drain_cycles=1500)
@@ -273,6 +317,7 @@ class TestFabricSweep:
         assert report.total_points == len(specs)
         assert len(report.points) + len(report.failures) == len(specs)
         assert report.fabric.workers_spawned >= 3
+        assert report.fabric.worker_deaths >= 1
         audit = audit_queue(tmp_path / "q")
         assert audit.ok, audit.summary()
         assert audit.done == len(specs)
@@ -313,6 +358,29 @@ class TestFabricSweep:
         code = worker_main(str(tmp_path / "nowhere"), wait_s=0.2)
         assert code == 2
         assert "no sweep queue" in capsys.readouterr().out
+
+    def test_worker_skips_a_point_closed_while_it_claimed(self, tmp_path,
+                                                          monkeypatch):
+        # the point closes between the worker's read of the log and its
+        # claim (a coordinator expiring the last allowed attempt): the
+        # worker must drop the lease instead of running a closed point
+        from repro.exec import worker_main
+
+        table = seeded_table(tmp_path, specs=grid(levels=(2,), rates=(0.1,)))
+        key = table.load()["keys"][0]
+        claim = LeaseTable.claim
+
+        def claim_after_close(self, key, worker, attempt):
+            self.append({"ev": "quarantine", "key": key})
+            return claim(self, key, worker, attempt)
+
+        monkeypatch.setattr(LeaseTable, "claim", claim_after_close)
+        assert worker_main(str(table.directory), worker_id="w",
+                           wait_s=1.0) == 0
+        events, _ = table.read_events(0)
+        assert [e["ev"] for e in events if e.get("key") == key] == [
+            "quarantine", "claim"]
+        assert table.active_leases() == 0
 
 
 class TestChaosModes:

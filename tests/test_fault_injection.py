@@ -8,7 +8,7 @@ from repro.cmp import get_profile
 from repro.config import NoCConfig
 from repro.core.sprinting import RetreatPolicy, SprintController, SprintMode
 from repro.core.topological import SprintTopology
-from repro.exec import ResultCache, SweepRunner
+from repro.exec import FabricConfig, ResultCache, SweepRunner, audit_queue
 from repro.exec.runner import CHAOS_ENV
 from repro.noc.sim import simulate
 from repro.noc.spec import FaultEvent, FaultSchedule, SimulationSpec, TrafficSpec
@@ -271,13 +271,21 @@ class TestHarnessFailureIsolation:
         report = SweepRunner(workers=2, max_retries=1).run(specs)
         assert report.ok and len(report.points) == 4
 
-    def test_hung_point_times_out_and_innocents_survive(self, monkeypatch):
+    @pytest.mark.parametrize("fabric", [False, True],
+                             ids=["private-queue", "explicit-fabric"])
+    def test_hung_point_times_out_and_innocents_survive(self, monkeypatch,
+                                                        tmp_path, fabric):
         specs = self.make_specs()
         rate = chaos_rate_failing(specs, 1)
         monkeypatch.setenv(CHAOS_ENV, f"hang:{rate}:60")
-        report = SweepRunner(workers=2, point_timeout=1.5).run(specs)
+        config = (FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
+                               quarantine_after=1) if fabric else None)
+        report = SweepRunner(workers=2, point_timeout=1.5,
+                             fabric=config).run(specs)
         assert [f.kind for f in report.failures] == ["timeout"]
         assert len(report.points) == 3
+        if fabric:
+            assert audit_queue(tmp_path / "q").ok
 
     def test_serial_exception_isolated(self, monkeypatch):
         specs = self.make_specs()

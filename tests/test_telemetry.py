@@ -9,7 +9,7 @@ import pytest
 import repro.telemetry as telemetry_pkg
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.exec import ResultCache, SweepRunner
+from repro.exec import FabricConfig, ResultCache, SweepRunner
 from repro.exec.runner import CHAOS_ENV
 from repro.noc.sim import simulate
 from repro.noc.spec import SimulationSpec, TrafficSpec
@@ -317,10 +317,15 @@ class TestRunnerIntegration:
 
         return [chain(b) for b in begins]
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_sweep_point_simulate_phase_nesting(self, workers):
+    @pytest.mark.parametrize("workers,fabric", [(1, False), (2, False),
+                                                (2, True)],
+                             ids=["1", "2", "fabric"])
+    def test_sweep_point_simulate_phase_nesting(self, workers, fabric,
+                                                tmp_path):
         tel = Telemetry(sample_interval=200)
-        runner = SweepRunner(workers=workers, telemetry=tel)
+        config = (FabricConfig(queue_dir=str(tmp_path / "q"), workers=workers)
+                  if fabric else None)
+        runner = SweepRunner(workers=workers, telemetry=tel, fabric=config)
         report = runner.run([small_spec(rate=r) for r in (0.05, 0.1)])
         assert report.ok
         chains = self._span_tree_names(tel)
@@ -346,10 +351,17 @@ class TestRunnerIntegration:
         assert "sweep_retries_total 0" in text  # zero but still rendered
         assert "result_cache_stores 2" in text
 
-    def test_failed_attempts_counted_and_span_marked(self, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "raise")
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_attempts_counted_and_span_marked(self, monkeypatch,
+                                                     workers):
+        # two workers need two specs to run in parallel; at this chaos
+        # rate only the first spec's coin (0.48) fires, not the second's
+        # (0.54), so one point still fails
+        specs = [small_spec(), small_spec(rate=0.05)][:workers]
+        monkeypatch.setenv(CHAOS_ENV, "raise:0.51")
         tel = Telemetry()
-        report = SweepRunner(max_retries=1, telemetry=tel).run([small_spec()])
+        report = SweepRunner(workers=workers, max_retries=1,
+                             telemetry=tel).run(specs)
         monkeypatch.delenv(CHAOS_ENV)
         assert len(report.failures) == 1
         assert tel.metrics.value("sweep_errors_total") == 2  # both attempts
