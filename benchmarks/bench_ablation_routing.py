@@ -8,9 +8,8 @@ leakage.  CDOR eliminates both with <2 % switch area."""
 from repro.config import NoCConfig
 from repro.core.gating_policy import xy_wakeups_through_dark
 from repro.core.topological import SprintTopology
-from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.sim import run_simulation
-from repro.noc.spec import SimulationSpec, TrafficSpec
+from repro.noc.spec import SimulationSpec, TimeoutGating, TrafficSpec
 from repro.util.tables import format_table
 
 from benchmarks.common import once, report
@@ -41,11 +40,11 @@ def wakeup_latency_cost(level=8, rate=0.05):
         measure_cycles=1500, backend="auto"))
 
     full = SprintTopology.for_level(4, 4, 16)
-    policy = TimeoutGatingPolicy(idle_timeout=32)
     xy = run_simulation(SimulationSpec(
         full, traffic, CFG, routing="xy", warmup_cycles=300,
-        measure_cycles=1500, backend="auto"), gating_policy=policy)
-    return cdor, xy, policy
+        measure_cycles=1500, backend="auto",
+        gating=TimeoutGating(idle_timeout=32)))
+    return cdor, xy
 
 
 def test_ablation_xy_wakeups(benchmark):
@@ -62,12 +61,12 @@ def test_ablation_xy_wakeups(benchmark):
 
 
 def test_ablation_wakeup_latency(benchmark):
-    cdor, xy, policy = once(benchmark, wakeup_latency_cost)
+    cdor, xy = once(benchmark, wakeup_latency_cost)
     body = (
         f"CDOR on static region: {cdor.avg_latency:.1f} cycles, 0 wakeups\n"
         f"XY + timeout gating:   {xy.avg_latency:.1f} cycles, "
-        f"{policy.stats.wake_events} wakeups, {policy.stats.gate_events} gate-offs"
+        f"{xy.gating.wake_events} wakeups, {xy.gating.gate_events} gate-offs"
     )
     report("Ablation: routing scheme under sparse sprint traffic", body)
     assert cdor.avg_latency < xy.avg_latency
-    assert policy.stats.wake_events > 0
+    assert xy.gating.wake_events > 0

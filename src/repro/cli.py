@@ -256,7 +256,7 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
             if args.backend == "auto":
                 resolve_backend(spec, telemetry=telemetry)
             else:
-                check_capabilities(get_backend(args.backend), spec, None, telemetry)
+                check_capabilities(get_backend(args.backend), spec, telemetry)
         except (BackendCapabilityError, ValueError) as err:
             problems.append(
                 f"level={spec.topology.level} pattern={spec.traffic.pattern} "
@@ -680,10 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ledger-dir", default=None, metavar="DIR",
                        help="run-ledger directory (default .repro/ledger or "
                             "$REPRO_LEDGER_DIR)")
-    serve.add_argument("--fabric", default=None, metavar="QUEUE_DIR",
-                       help="root each batch's lease-based work queue here "
-                            "(external workers can join) instead of in a "
-                            "private temporary directory")
     serve.add_argument("--rate", type=float, default=50.0, metavar="PER_S",
                        help="per-client token-bucket refill rate, specs/s "
                             "(default 50)")
@@ -1166,22 +1162,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.exec.cache import ResultCache
-    from repro.exec.fabric import FabricConfig
     from repro.service import ClientAccounts, ExperimentServer, ExperimentService
     from repro.telemetry.ledger import Ledger
     from repro.telemetry.live import parse_serve_address
 
     host, port = parse_serve_address(args.listen)
-    fabric = None
-    if args.fabric:
-        fabric = FabricConfig(queue_dir=args.fabric, workers=max(args.workers, 1))
     service = ExperimentService(
         cache=ResultCache(directory=args.cache_dir),
         workers=args.workers,
         accounts=ClientAccounts(rate_per_s=args.rate, burst=args.burst,
                                 budget_simulated_s=args.budget),
         ledger=Ledger(directory=args.ledger_dir),
-        fabric=fabric,
     )
     server = ExperimentServer(service, host=host, port=port).start()
     print(f"repro service listening on http://{server.address}", flush=True)

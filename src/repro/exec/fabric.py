@@ -74,7 +74,6 @@ Chaos modes (``REPRO_SWEEP_CHAOS``, on top of the ``raise``/``exit``/
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -168,19 +167,6 @@ class FabricConfig:
             raise ValueError("lease_ttl_s must be positive")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-
-    def for_batch(self, fingerprint: str) -> "FabricConfig":
-        """The same knobs bound to a per-batch queue subdirectory.
-
-        A fabric queue directory belongs to exactly one sweep (the
-        coordinator stamps and audits it), so a long-lived owner -- the
-        service front door dispatching many batches over one configured
-        fabric -- derives a fresh queue per batch from the batch's
-        content fingerprint instead of reusing one directory serially.
-        """
-        return dataclasses.replace(
-            self, queue_dir=os.path.join(self.queue_dir, f"batch-{fingerprint[:16]}")
-        )
 
 
 # ----------------------------------------------------------------------

@@ -326,13 +326,11 @@ class SweepRunner:
     Failure policy: a point that raises is retried up to ``max_retries``
     times; one whose local worker holds it past ``point_timeout`` seconds
     (the worker is killed) or dies is charged an attempt and retried
-    likewise.  Serial retries wait ``retry_backoff_s``, doubling per
-    attempt; parallel retries re-lease at once.  Points that exhaust
-    their attempts are reported on ``SweepReport.failures`` instead of
-    poisoning the sweep.  Serial runs cannot preempt a hung simulation,
-    so ``point_timeout`` is only enforced on parallel runs.  An explicit
-    ``fabric`` config keeps its own ``quarantine_after`` in place of
-    ``max_retries``.
+    likewise, at once.  Points that exhaust their attempts are reported
+    on ``SweepReport.failures`` instead of poisoning the sweep.  Serial
+    runs cannot preempt a hung simulation, so ``point_timeout`` is only
+    enforced on parallel runs.  An explicit ``fabric`` config keeps its
+    own ``quarantine_after`` in place of ``max_retries``.
     """
 
     def __init__(
@@ -342,7 +340,6 @@ class SweepRunner:
         progress: Callable[[int, int, SweepPoint], None] | None = None,
         max_retries: int = 0,
         point_timeout: float | None = None,
-        retry_backoff_s: float = 0.05,
         telemetry: Telemetry | None = None,
         ledger: Ledger | None = None,
         ledger_label: str | None = None,
@@ -360,14 +357,11 @@ class SweepRunner:
             raise ValueError("max_retries must be >= 0")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError("point_timeout must be positive (or None)")
-        if retry_backoff_s < 0:
-            raise ValueError("retry_backoff_s must be >= 0")
         self.workers = workers
         self.cache = cache if cache is not None else ResultCache()
         self.progress = progress
         self.max_retries = max_retries
         self.point_timeout = point_timeout
-        self.retry_backoff_s = retry_backoff_s
         self.telemetry = telemetry
         # every run leaves one RunRecord in the ledger (None: the default
         # env-configured ledger; Ledger.disabled() opts a runner out, e.g.
@@ -624,9 +618,6 @@ class SweepRunner:
         )
 
     # ------------------------------------------------------------------
-    def _backoff(self, attempts: int) -> float:
-        return self.retry_backoff_s * (2 ** max(0, attempts - 1))
-
     def _run_fabric(self, unique, complete, fail, absorb, attempt_failed,
                     tel, fingerprint):
         """Run the points on the lease-based work-queue fabric.
@@ -663,7 +654,8 @@ class SweepRunner:
                     absorb, attempt_failed) -> None:
         # in-process execution cannot preempt a hung simulation, so
         # point_timeout is not enforced here; exceptions are still
-        # isolated and retried per point, with exponential backoff
+        # isolated and retried per point, at once (a point is
+        # deterministic, so waiting would change nothing)
         for key, spec in unique:
             if self._stop.is_set():
                 return  # graceful drain: unfinished points stay pending
@@ -681,7 +673,6 @@ class SweepRunner:
                     break
                 attempt_failed("error", retrying=True)
                 absorb(key, status[4])
-                time.sleep(self._backoff(attempts))
 
 
 __all__ = ["FailedPoint", "SweepPoint", "SweepReport", "SweepRunner", "CHAOS_ENV"]

@@ -9,8 +9,8 @@ Importing this package registers the two built-in engines:
   schedules, timeout gating, adaptive routing, telemetry sampling and
   tracing) and over ten times faster.  A run the kernel does not cover
   (no C compiler, ``REPRO_NOC_NATIVE=0``, more VCs than the kernel's
-  masks hold, a repeated traffic endpoint, or a gating policy other
-  than exactly ``TimeoutGatingPolicy``) runs on the reference engine.
+  masks hold, or a repeated traffic endpoint) runs on the reference
+  engine.
 
 Both engines declare the full capability set, so explicit backend
 selection never needs to fall back for feature reasons; capability

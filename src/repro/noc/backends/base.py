@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 # capability tokens a backend may declare
 CAP_FAULTS = "faults"  # mid-run FaultSchedule reconfiguration
-CAP_GATING = "gating_policy"  # per-cycle dynamic power-gating policies
+CAP_GATING = "gating"  # SimulationSpec.gating: run-time timeout gating
 CAP_ADAPTIVE_ROUTING = "adaptive_routing"  # west_first / negative_first
 CAP_SAMPLING = "telemetry_sampling"  # periodic in-simulation samples
 CAP_TRACING = "tracing"  # phase spans + end-of-run metrics
@@ -44,11 +44,7 @@ class SimBackend(Protocol):
     capabilities: frozenset[str]
 
     def run(
-        self,
-        spec: SimulationSpec,
-        *,
-        gating_policy=None,
-        telemetry: "Telemetry | None" = None,
+        self, spec: SimulationSpec, *, telemetry: "Telemetry | None" = None
     ) -> SimulationResult:
         """Execute the spec and return its result."""
         ...  # pragma: no cover - protocol body
@@ -128,16 +124,20 @@ def list_backends() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
-def required_capabilities(
-    spec: SimulationSpec, gating_policy=None, telemetry=None
-) -> frozenset[str]:
-    """The capability set a concrete run needs from its backend."""
+def required_capabilities(spec: SimulationSpec, telemetry=None) -> frozenset[str]:
+    """The capability tokens a concrete run needs from its backend.
+
+    The spec alone needs at most ``faults``, ``gating`` and
+    ``adaptive_routing``; active telemetry adds ``tracing`` and, when it
+    samples, ``telemetry_sampling``.  :func:`check_capabilities` and
+    ``backend="auto"`` resolution are built on this.
+    """
     from repro.telemetry import active
 
     need = set()
     if spec.faults:
         need.add(CAP_FAULTS)
-    if gating_policy is not None:
+    if spec.gating is not None:
         need.add(CAP_GATING)
     if spec.routing not in ("cdor", "xy"):
         need.add(CAP_ADAPTIVE_ROUTING)
@@ -149,39 +149,13 @@ def required_capabilities(
     return frozenset(need)
 
 
-def requirements(
-    spec: SimulationSpec, *, gating_policy=None, telemetry=None
-) -> frozenset[str]:
-    """The capability tokens a concrete run needs from its backend.
-
-    Public keyword-only face of :func:`required_capabilities` -- the single
-    source of truth :func:`check_capabilities` and ``backend="auto"``
-    resolution are built on.  A spec alone (no policy, no telemetry) needs
-    at most ``faults`` and ``adaptive_routing``; the run-time arguments add
-    ``gating_policy``, ``tracing`` and ``telemetry_sampling``.
-    """
-    return required_capabilities(spec, gating_policy, telemetry)
+#: the public name of :func:`required_capabilities`
+requirements = required_capabilities
 
 
-def supports(
-    backend: SimBackend,
-    spec: SimulationSpec,
-    *,
-    gating_policy=None,
-    telemetry=None,
-) -> bool:
-    """True when ``backend`` declares every capability the run needs.
-
-    Backends may provide their own ``supports`` method (e.g. to decline
-    specs on grounds finer than capability tokens); this falls back to the
-    declared-capability subset test for those that do not.
-    """
-    own = getattr(backend, "supports", None)
-    if callable(own):
-        return bool(own(spec, gating_policy=gating_policy, telemetry=telemetry))
-    return requirements(
-        spec, gating_policy=gating_policy, telemetry=telemetry
-    ) <= backend.capabilities
+def supports(backend: SimBackend, spec: SimulationSpec, *, telemetry=None) -> bool:
+    """True when ``backend`` declares every capability the run needs."""
+    return required_capabilities(spec, telemetry) <= backend.capabilities
 
 
 def _speed_rank(backend: SimBackend) -> int:
@@ -190,9 +164,7 @@ def _speed_rank(backend: SimBackend) -> int:
     return rank if isinstance(rank, int) else 0
 
 
-def resolve_backend(
-    spec: SimulationSpec, *, gating_policy=None, telemetry=None
-) -> SimBackend:
+def resolve_backend(spec: SimulationSpec, *, telemetry=None) -> SimBackend:
     """The fastest registered backend that supports this run.
 
     This is what ``backend="auto"`` resolves through: every registered
@@ -204,23 +176,23 @@ def resolve_backend(
     candidates = [
         backend
         for backend in _REGISTRY.values()
-        if supports(backend, spec, gating_policy=gating_policy, telemetry=telemetry)
+        if supports(backend, spec, telemetry=telemetry)
     ]
     if not candidates:
         raise BackendCapabilityError(
             "auto",
-            requirements(spec, gating_policy=gating_policy, telemetry=telemetry),
+            required_capabilities(spec, telemetry),
             hint="no registered backend supports this run",
         )
     return max(candidates, key=lambda b: (_speed_rank(b), b.name))
 
 
 def check_capabilities(
-    backend: SimBackend, spec: SimulationSpec, gating_policy=None, telemetry=None
+    backend: SimBackend, spec: SimulationSpec, telemetry=None
 ) -> None:
     """Raise :class:`BackendCapabilityError` if the run needs more than
     ``backend`` declares."""
-    need = required_capabilities(spec, gating_policy, telemetry)
+    need = required_capabilities(spec, telemetry)
     missing = need - backend.capabilities
     if missing:
         alternatives = tuple(

@@ -41,11 +41,12 @@ Division of labour with the Python driver:
   call the kernel checks the masks against the state they mirror and
   credit conservation on every link, and a failed check raises
   :class:`RuntimeError` instead of falling back;
-- a :class:`~repro.noc.power_gating.TimeoutGatingPolicy` runs inside
-  the kernel: its idle timeout and protected nodes come in as inputs,
-  the kernel applies the policy's gate-off rule every cycle together
-  with the reference network's demand wakeups, and the gate, wake and
-  gated-cycle counts come back to be added to the policy's ``stats``;
+- ``spec.gating`` timeout gating runs inside the kernel: its idle
+  timeout and protected nodes come in as inputs, the kernel applies
+  :class:`~repro.noc.power_gating.TimeoutGatingPolicy`'s gate-off rule
+  every cycle together with the reference network's demand wakeups,
+  and the gate, wake and gated-cycle counts come back as the result's
+  ``gating`` statistics;
 - telemetry runs batch their per-interval activity capture inside the
   kernel (sample cycle, flits in flight, per-router buffer occupancy,
   gating flags and cumulative injected and ejected flits land in flat
@@ -78,6 +79,7 @@ from types import MappingProxyType
 import numpy as np
 
 from repro.noc.activity import NetworkActivity
+from repro.noc.power_gating import GatingStats
 from repro.noc.result import SimulationResult
 from repro.noc.routing import PORT_COUNT, PORT_TO_DIRECTION, REVERSE_PORT
 from repro.noc.spec import SimulationSpec
@@ -1122,28 +1124,22 @@ def _traffic_inputs(traffic):
     return pattern, perm, index[traffic.hotspot_endpoint]
 
 
-def execute(
-    spec: SimulationSpec, telemetry=None, gating_policy=None
-) -> SimulationResult | None:
+def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     """Run ``spec`` on the compiled kernel; None means "not covered".
 
     Returns None -- meaning "run the reference engine instead" -- when
     the kernel is unavailable (see :func:`available`), when the
     configuration exceeds its fixed-width state (more than ``_MAX_VCS``
-    virtual channels), when the endpoint list repeats a node (the kernel
-    indexes endpoints by position), or when ``gating_policy`` is not
-    exactly a :class:`~repro.noc.power_gating.TimeoutGatingPolicy` with
-    an integer ``idle_timeout`` (the kernel runs that policy's rules,
-    not arbitrary Python).  A run is a chain of fresh-network kernel
-    segments, one per region configuration: a fault boundary in the
+    virtual channels), or when the endpoint list repeats a node (the
+    kernel indexes endpoints by position).  A run is a chain of
+    fresh-network kernel segments, one per region configuration (timeout
+    gating from ``spec.gating`` runs in each): a fault boundary in the
     reference engine tears the network down and rebuilds it on the
     reconfigured region, re-injecting every surviving packet through the
     normal NI path, so the only state that crosses a boundary is the
     survivor list, the MT19937 state, the fault and gating counters and
     the cumulative telemetry.  Between segments this function replays
-    the reference's drop-and-retransmit policy.  The policy's ``stats`` are
-    updated once the whole chain has run, so a declined run leaves them
-    for the reference engine to count.  With active telemetry the
+    the reference's drop-and-retransmit policy.  With active telemetry the
     kernel batches per-interval activity captures, replayed here as the
     spans, samples and metrics the reference emits.
 
@@ -1153,17 +1149,14 @@ def execute(
     not a run to hand to the reference engine.
     """
     from repro.core.faults import reconfigured_topology
-    from repro.noc.power_gating import TimeoutGatingPolicy
     from repro.telemetry import active as _active_telemetry
 
-    idle_timeout, protected = -1, frozenset()
-    if gating_policy is not None:
-        if (type(gating_policy) is not TimeoutGatingPolicy
-                or type(gating_policy.idle_timeout) is not int):
-            return None
-        # idle spans are never negative, so clamping changes no decision
-        idle_timeout = min(max(gating_policy.idle_timeout, 0), 1 << 62)
-        protected = gating_policy.protected_nodes
+    gating = spec.gating
+    idle_timeout, protected = -1, frozenset()  # -1: no gating
+    if gating is not None:
+        # idle spans never reach 2**62, so the clamp changes no decision
+        idle_timeout = min(gating.idle_timeout, 1 << 62)
+        protected = gating.protected_nodes
     cfg = spec.config
     vcs = cfg.vcs_per_port
     if vcs > _MAX_VCS or not available():
@@ -1332,11 +1325,6 @@ def execute(
         lib.fold_stats(measured_ejected, np.concatenate(ej_lats),
                        np.concatenate(ej_hop_counts), folded)
         summary = folded.tolist()
-    if gating_policy is not None:
-        stats = gating_policy.stats
-        stats.gate_events += gating_totals[0]
-        stats.wake_events += gating_totals[1]
-        stats.gated_router_cycles += gating_totals[2]
 
     if tel is not None:
         _emit_run_telemetry(
@@ -1370,6 +1358,7 @@ def execute(
         packets_rerouted=counters["rerouted"],
         reconfigurations=counters["reconfigurations"],
         min_region_level=min_level,
+        gating=GatingStats(*gating_totals) if gating is not None else None,
     )
 
 

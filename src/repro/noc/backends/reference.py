@@ -20,11 +20,11 @@ from __future__ import annotations
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.noc.backends.base import ALL_CAPABILITIES, required_capabilities
+from repro.noc.backends.base import ALL_CAPABILITIES
 from repro.noc.network import Network
 from repro.noc.result import SimulationResult
 from repro.noc.routing import build_table
-from repro.noc.spec import SimulationSpec
+from repro.noc.spec import SimulationSpec, TimeoutGating
 from repro.noc.traffic import TrafficGenerator
 from repro.telemetry import active as _active_telemetry
 from repro.util.stats import RunningStats, percentile
@@ -39,13 +39,7 @@ class ReferenceBackend:
     # the reference engine is the universal (slowest) floor at 0
     speed_rank = 0
 
-    def supports(self, spec, *, gating_policy=None, telemetry=None) -> bool:
-        """The reference engine simulates every declared capability."""
-        return required_capabilities(spec, gating_policy, telemetry) <= self.capabilities
-
-    def run(
-        self, spec: SimulationSpec, *, gating_policy=None, telemetry=None
-    ) -> SimulationResult:
+    def run(self, spec: SimulationSpec, *, telemetry=None) -> SimulationResult:
         return _execute(
             spec.topology,
             spec.traffic.build(),
@@ -54,7 +48,7 @@ class ReferenceBackend:
             spec.warmup_cycles,
             spec.measure_cycles,
             spec.drain_cycles,
-            gating_policy,
+            spec.gating,
             faults=spec.faults,
             telemetry=telemetry,
         )
@@ -114,12 +108,13 @@ def _execute(
     warmup_cycles: int,
     measure_cycles: int,
     drain_cycles: int,
-    gating_policy,
+    gating: TimeoutGating | None,
     faults=None,
     telemetry=None,
 ) -> SimulationResult:
     """The warmup / measure / drain loop shared by both entry points."""
     network = Network(topology, build_table(topology, routing), cfg)
+    policy = gating.build() if gating is not None else None
 
     tel = _active_telemetry(telemetry)
     tracer = tel.tracer if tel is not None else None
@@ -224,8 +219,8 @@ def _execute(
                 tel, sim_span.id, network, cycle,
                 inj_flits, ej_flits, gated_cycles, interval,
             )
-        if gating_policy is not None:
-            gating_policy.step(network)
+        if policy is not None:
+            policy.step(network)
         network.step()
         if cycle >= measure_end and (
             ejected["measured"] >= created_measured - counters["lost_measured"]
@@ -276,6 +271,7 @@ def _execute(
         packets_rerouted=counters["rerouted"],
         reconfigurations=counters["reconfigurations"],
         min_region_level=min_level,
+        gating=policy.stats if policy is not None else None,
     )
 
 

@@ -15,16 +15,14 @@ gate in ``benchmarks/bench_extension_backend.py``).
 The kernel covers the full capability set: fault schedules (a chain of
 per-region kernel segments with the reference's drop-and-retransmit
 policy replayed between them), adaptive routing, telemetry sampling and
-tracing, and :class:`~repro.noc.power_gating.TimeoutGatingPolicy` gating
-(the policy's rules run inside the kernel, including the 8-cycle
-demand wakeup).  A run the kernel does not cover goes to the reference
-engine, so results never depend on the host:
+tracing, and ``SimulationSpec.gating`` timeout gating (the
+:class:`~repro.noc.power_gating.TimeoutGatingPolicy` rules run inside the
+kernel, including the 8-cycle demand wakeup).  A run the kernel does not
+cover goes to the reference engine, so results never depend on the host:
 
 - no C compiler on the host, or ``REPRO_NOC_NATIVE=0``;
 - more than ``native._MAX_VCS`` virtual channels per port;
-- a traffic endpoint list that repeats a node;
-- a gating policy that is not exactly a ``TimeoutGatingPolicy`` (a
-  subclass or another policy is arbitrary per-cycle Python).
+- a traffic endpoint list that repeats a node.
 """
 
 from __future__ import annotations
@@ -32,11 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.noc.backends import native
-from repro.noc.backends.base import (
-    ALL_CAPABILITIES,
-    check_capabilities,
-    required_capabilities,
-)
+from repro.noc.backends.base import ALL_CAPABILITIES
 from repro.noc.backends.reference import ReferenceBackend
 from repro.noc.result import SimulationResult
 from repro.noc.spec import SimulationSpec
@@ -86,21 +80,10 @@ class VectorizedBackend:
     # the kernel outruns the reference on everything it covers
     speed_rank = 10
 
-    def supports(self, spec, *, gating_policy=None, telemetry=None) -> bool:
-        """Every declared capability runs on the kernel or the reference."""
-        return required_capabilities(spec, gating_policy, telemetry) <= self.capabilities
-
-    def run(
-        self, spec: SimulationSpec, *, gating_policy=None, telemetry=None
-    ) -> SimulationResult:
-        check_capabilities(self, spec, gating_policy, telemetry)
-        result = native.execute(
-            spec, telemetry=telemetry, gating_policy=gating_policy
-        )
+    def run(self, spec: SimulationSpec, *, telemetry=None) -> SimulationResult:
+        result = native.execute(spec, telemetry=telemetry)
         if result is None:  # not covered by the kernel: same bits, slower
-            result = _REFERENCE.run(
-                spec, gating_policy=gating_policy, telemetry=telemetry
-            )
+            result = _REFERENCE.run(spec, telemetry=telemetry)
         return result
 
 

@@ -10,9 +10,10 @@ records the class by its import path) keep unpickling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.noc.activity import NetworkActivity
+from repro.noc.power_gating import GatingStats
 
 
 @dataclass
@@ -42,6 +43,10 @@ class SimulationResult:
     packets_rerouted: int = 0
     reconfigurations: int = 0
     min_region_level: int = 0
+    # timeout-gating counters; None unless the spec carried
+    # SimulationSpec.gating (results pickled before the field existed
+    # read the class default)
+    gating: GatingStats | None = None
 
     @property
     def powered_router_count(self) -> int:
@@ -59,9 +64,10 @@ class SimulationResult:
         deliberately omitted: it is an in-process power-model input, not
         part of the result contract clients consume, and it dwarfs the
         scalars.  Fields mirror the dataclass so two backends that agree
-        bit-for-bit serialize identically.
+        bit-for-bit serialize identically.  ``gating`` appears only for a
+        gated run, so ungated results keep their wire body.
         """
-        return {
+        wire = {
             "v": 1,
             "kind": "simulation_result",
             "result": {
@@ -86,6 +92,9 @@ class SimulationResult:
                 "min_region_level": self.min_region_level,
             },
         }
+        if self.gating is not None:
+            wire["result"]["gating"] = asdict(self.gating)
+        return wire
 
 
 __all__ = ["SimulationResult"]

@@ -8,9 +8,9 @@ actual engine is looked up in the backend registry
 object-model simulator and the default; ``"vectorized"`` is the compiled
 fast path (:mod:`repro.noc.backends.native`), which hands the runs its
 kernel does not cover to the reference engine.  The spec's declared
-capability needs (faults, gating, adaptive routing, telemetry sampling)
-are checked against the chosen backend before the run starts, so a fast
-path declines what it cannot simulate instead of silently
+capability needs (faults, timeout gating, adaptive routing, telemetry
+sampling) are checked against the chosen backend before the run starts,
+so a fast path declines what it cannot simulate instead of silently
 mis-simulating it.
 
 The warmup / measure / drain methodology itself lives with the backends
@@ -21,11 +21,14 @@ older versions into the on-disk result cache.
 
 from __future__ import annotations
 
+import dataclasses
+
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
 from repro.noc.backends import check_capabilities, get_backend
+from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.result import SimulationResult
-from repro.noc.spec import SimulationSpec, stable_key
+from repro.noc.spec import SimulationSpec, TimeoutGating, stable_key
 from repro.noc.traffic import TrafficGenerator
 
 __all__ = [
@@ -62,18 +65,50 @@ def simulate(
     ``backend="auto"`` (in the spec or the override) picks the fastest
     registered backend whose capabilities cover this run, via
     :func:`repro.noc.backends.resolve_backend`.
+
+    ``gating_policy`` (an exact
+    :class:`~repro.noc.power_gating.TimeoutGatingPolicy`) runs as the
+    equivalent ``spec.gating`` value, and the run's ``result.gating``
+    counters are added to its ``stats``.
     """
+    if gating_policy is not None:
+        spec = dataclasses.replace(spec, gating=_gating_of(gating_policy))
     name = backend if backend is not None else spec.backend
     if name == "auto":
         from repro.noc.backends import resolve_backend
 
-        engine = resolve_backend(
-            spec, gating_policy=gating_policy, telemetry=telemetry
-        )
+        engine = resolve_backend(spec, telemetry=telemetry)
     else:
         engine = get_backend(name)
-        check_capabilities(engine, spec, gating_policy, telemetry)
-    return engine.run(spec, gating_policy=gating_policy, telemetry=telemetry)
+        check_capabilities(engine, spec, telemetry)
+    result = engine.run(spec, telemetry=telemetry)
+    _credit(gating_policy, result)
+    return result
+
+
+def _gating_of(policy) -> TimeoutGating:
+    """The spec value a ``gating_policy=`` argument stands for.
+
+    Timeout gating is spec data, so only an exact
+    :class:`~repro.noc.power_gating.TimeoutGatingPolicy` has one; a
+    subclass or any other per-cycle policy object is refused.
+    """
+    if type(policy) is not TimeoutGatingPolicy:
+        raise TypeError(
+            "gating_policy must be a TimeoutGatingPolicy, not "
+            f"{type(policy).__name__}; timeout gating is the spec field "
+            "SimulationSpec.gating"
+        )
+    return TimeoutGating(policy.idle_timeout, policy.protected_nodes)
+
+
+def _credit(policy, result: SimulationResult) -> None:
+    """Add a gated run's counters to its ``gating_policy=`` argument."""
+    if policy is not None:
+        stats = policy.stats
+        stats.gate_events += result.gating.gate_events
+        stats.wake_events += result.gating.wake_events
+        stats.gated_router_cycles += result.gating.gated_router_cycles
 
 
 def run_simulation(
@@ -103,13 +138,13 @@ def run_simulation(
 
     ``routing`` is ``"cdor"``, ``"xy"``, or one of the adaptive turn models
     (``"west_first"``, ``"negative_first"``; full mesh only).
-    ``gating_policy``, if given, is an object whose ``step(network)`` is
-    driven once per cycle, such as
+    ``gating_policy``, if given, must be exactly a
     :class:`repro.noc.power_gating.TimeoutGatingPolicy` (used by the
     run-time power-gating ablation; the main NoC-sprinting experiments
-    power-gate statically by never instantiating dark routers).  The
-    vectorized backend runs a ``TimeoutGatingPolicy`` inside its C kernel
-    and any other policy on the reference engine.
+    power-gate statically by never instantiating dark routers).  It runs
+    as the equivalent ``SimulationSpec.gating`` value, and the run's
+    ``result.gating`` counters are added to its ``stats``; any other
+    policy object raises :class:`TypeError`.
     """
     if isinstance(topology, SimulationSpec):
         return simulate(topology, gating_policy=gating_policy,
@@ -123,7 +158,7 @@ def run_simulation(
         )
     from repro.noc.backends.reference import _execute
 
-    return _execute(
+    result = _execute(
         topology,
         traffic,
         config or NoCConfig(),
@@ -131,10 +166,12 @@ def run_simulation(
         warmup_cycles,
         measure_cycles,
         drain_cycles,
-        gating_policy,
+        _gating_of(gating_policy) if gating_policy is not None else None,
         faults=faults,
         telemetry=telemetry,
     )
+    _credit(gating_policy, result)
+    return result
 
 
 _zero_load_cache = None

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
+from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.traffic import TrafficGenerator
 
 
@@ -104,6 +105,7 @@ def _wire_classes() -> dict:
     return {
         "SimulationSpec": SimulationSpec,
         "TrafficSpec": TrafficSpec,
+        "TimeoutGating": TimeoutGating,
         "FaultSchedule": FaultSchedule,
         "FaultEvent": FaultEvent,
         "SprintTopology": SprintTopology,
@@ -226,6 +228,32 @@ class TrafficSpec:
 
 
 @dataclass(frozen=True)
+class TimeoutGating:
+    """Declarative conventional timeout gating (the paper's baseline).
+
+    Mirrors the :class:`~repro.noc.power_gating.TimeoutGatingPolicy`
+    constructor: every router outside ``protected_nodes`` that stays idle
+    for ``idle_timeout`` cycles is gated and woken on demand.
+    :meth:`build` instantiates the live policy the reference engine steps
+    each cycle; the C kernel reads the two fields directly.
+    """
+
+    idle_timeout: int = 64
+    protected_nodes: frozenset[int] = frozenset()
+
+    def __post_init__(self) -> None:
+        if type(self.idle_timeout) is not int or self.idle_timeout < 0:
+            raise ValueError(
+                f"idle_timeout must be a non-negative int, got {self.idle_timeout!r}"
+            )
+        object.__setattr__(self, "protected_nodes", frozenset(self.protected_nodes))
+
+    def build(self) -> TimeoutGatingPolicy:
+        """A fresh policy (with zeroed ``stats``) running these rules."""
+        return TimeoutGatingPolicy(self.idle_timeout, self.protected_nodes)
+
+
+@dataclass(frozen=True)
 class FaultEvent:
     """One injected failure in the simulated silicon.
 
@@ -337,6 +365,12 @@ class SimulationSpec:
     # the registry (fastest backend covering the spec's requirements) and
     # canonicalizes to the *resolved* name in cache keys.
     backend: str = field(default="reference", metadata={"omit_when_default": True})
+    # run-time timeout gating of every router (None: the static gating the
+    # topology implies); omitted from the canonical form when None, so
+    # ungated specs keep their cache keys and wire bodies
+    gating: TimeoutGating | None = field(
+        default=None, metadata={"omit_when_default": True}
+    )
 
     def __post_init__(self) -> None:
         if self.warmup_cycles < 0 or self.measure_cycles < 1 or self.drain_cycles < 0:
@@ -428,6 +462,7 @@ __all__ = [
     "FaultEvent",
     "FaultSchedule",
     "SimulationSpec",
+    "TimeoutGating",
     "TrafficSpec",
     "WIRE_VERSION",
     "WireFormatError",

@@ -89,10 +89,7 @@ class ExperimentService:
     """Accept wire-format specs, evaluate each unique one exactly once.
 
     ``workers`` is the process fan-out each claimed batch is executed
-    with (on a private fabric queue when above 1); ``fabric`` (a
-    :class:`~repro.exec.fabric.FabricConfig`) roots each batch's queue
-    under its directory instead, derived via
-    :meth:`FabricConfig.for_batch`.  ``accounts``
+    with (on a private fabric queue when above 1).  ``accounts``
     carries the per-client admission policy; the default is permissive
     (no budget, generous rate).  ``executor_threads`` bounds concurrent
     batch executions *and* external-claim waiters.
@@ -105,7 +102,6 @@ class ExperimentService:
         accounts: ClientAccounts | None = None,
         registry: MetricsRegistry | None = None,
         ledger: Ledger | None = None,
-        fabric=None,
         executor_threads: int = 4,
     ):
         self.cache = cache if cache is not None else ResultCache()
@@ -113,7 +109,6 @@ class ExperimentService:
         self.accounts = accounts if accounts is not None else ClientAccounts()
         self.registry = registry if registry is not None else MetricsRegistry()
         self.ledger = ledger if ledger is not None else Ledger()
-        self.fabric = fabric
         # MetricsRegistry is not thread-safe; every touch goes through
         # this lock (handler threads + executor charge-back race it)
         self._metrics_lock = threading.Lock()
@@ -250,26 +245,15 @@ class ExperimentService:
     # ------------------------------------------------------------------
     # execution (executor threads)
     # ------------------------------------------------------------------
-    def _make_runner(self, batch_keys) -> SweepRunner:
-        fabric = self.fabric
-        if fabric is not None:
-            from repro.noc.spec import stable_key
-
-            fabric = fabric.for_batch(stable_key(tuple(sorted(batch_keys))))
-        return SweepRunner(
-            workers=self.workers,
-            cache=self.cache,
-            ledger=self.ledger,
-            ledger_label=None,
-            ledger_kind="service",
-            fabric=fabric,
-        )
-
     def _execute_batch(self, specs, claims, client: str) -> None:
-        keys = list(claims)
         try:
-            runner = self._make_runner(keys)
-            runner.ledger_label = client
+            runner = SweepRunner(
+                workers=self.workers,
+                cache=self.cache,
+                ledger=self.ledger,
+                ledger_label=client,
+                ledger_kind="service",
+            )
             report = runner.run(specs)
         except BaseException as err:  # noqa: BLE001 -- waiter threads must wake
             for key, claim in claims.items():

@@ -6,7 +6,7 @@ model that lets a limited engine decline runs it cannot simulate, the
 :func:`supports`, cache-key stability across the backend field's
 introduction, and -- most importantly -- cross-backend equivalence: the
 vectorized engine must be *bit-identical* to the reference simulator on
-every capability, fault schedules, gating policies and adaptive routing
+every capability, fault schedules, timeout gating and adaptive routing
 included.
 """
 
@@ -47,6 +47,7 @@ from repro.noc.spec import (
     FaultEvent,
     FaultSchedule,
     SimulationSpec,
+    TimeoutGating,
     TrafficSpec,
     stable_key,
 )
@@ -77,10 +78,9 @@ def scratch_backend(name="limited", capabilities=frozenset({CAP_TRACING,
             self.capabilities = capabilities
             self.speed_rank = speed_rank
 
-        def run(self, spec, *, gating_policy=None, telemetry=None):
-            check_capabilities(self, spec, gating_policy, telemetry)
-            return get_backend("reference").run(
-                spec, gating_policy=gating_policy, telemetry=telemetry)
+        def run(self, spec, *, telemetry=None):
+            check_capabilities(self, spec, telemetry)
+            return get_backend("reference").run(spec, telemetry=telemetry)
 
     backend = register_backend(Scratch())
     try:
@@ -162,7 +162,7 @@ class TestCapabilities:
         assert CAP_ADAPTIVE_ROUTING in required_capabilities(spec)
 
     def test_gating_policy_flagged(self):
-        need = required_capabilities(make_spec(), gating_policy=object())
+        need = required_capabilities(make_spec(gating=TimeoutGating(16)))
         assert CAP_GATING in need
 
     def test_telemetry_needs_tracing_and_sampling(self):
@@ -176,17 +176,17 @@ class TestCapabilities:
 
     def test_vectorized_accepts_full_capability_runs(self):
         engine = get_backend("vectorized")
-        faulted = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, faulted, gating_policy=object())
+        faulted = make_spec(level=16, gating=TimeoutGating(16),
+                            faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
+        check_capabilities(engine, faulted)
         check_capabilities(engine, make_spec(level=16, routing="negative_first"))
 
     def test_limited_backend_declines_with_structured_payload(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
+        spec = make_spec(level=16, gating=TimeoutGating(16),
+                         faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
         with scratch_backend() as backend:
             with pytest.raises(BackendCapabilityError) as excinfo:
-                check_capabilities(backend, spec, gating_policy=object())
+                check_capabilities(backend, spec)
         err = excinfo.value
         assert err.backend == backend.name
         assert err.missing == frozenset({CAP_FAULTS, CAP_GATING})
@@ -203,9 +203,9 @@ class TestCapabilities:
             assert supports(backend, make_spec())
 
     def test_requirements_public_api(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        need = requirements(spec, gating_policy=object())
+        spec = make_spec(level=16, gating=TimeoutGating(16),
+                         faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
+        need = requirements(spec)
         assert need == frozenset({CAP_FAULTS, CAP_GATING})
         adaptive = requirements(make_spec(level=16, routing="west_first"))
         assert adaptive == frozenset({CAP_ADAPTIVE_ROUTING})
@@ -239,9 +239,9 @@ class TestCapabilities:
 
     def test_reference_accepts_everything(self):
         engine = get_backend("reference")
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, spec, gating_policy=object())
+        spec = make_spec(level=16, gating=TimeoutGating(16),
+                         faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
+        check_capabilities(engine, spec)
 
 
 class TestCacheKeys:
@@ -378,8 +378,8 @@ def spy_on_kernel(monkeypatch):
 
 
 class StepCountingPolicy(TimeoutGatingPolicy):
-    """Timeout gating with its own ``step``: arbitrary per-cycle Python
-    the kernel must not stand in for."""
+    """Timeout gating with its own ``step``: arbitrary per-cycle Python,
+    which is not spec data."""
 
     def __post_init__(self):
         super().__post_init__()
@@ -454,8 +454,18 @@ class TestCrossBackendEquivalence:
     ])
     def test_reference_fallback_agrees(self, route, monkeypatch):
         """Every run the kernel does not cover declines it and runs on the
-        reference engine, with the same bits."""
+        reference engine, with the same bits.  A policy subclass is not
+        such a run any more: the ``gating_policy=`` adapter refuses it
+        before any engine starts."""
         spec = make_spec(level=8, rate=0.2, seed=3)
+        returned = spy_on_kernel(monkeypatch)
+        if route == "policy-subclass":
+            policy = StepCountingPolicy(idle_timeout=16)
+            for backend in ("vectorized", "reference"):
+                with pytest.raises(TypeError, match="SimulationSpec.gating"):
+                    simulate(spec, gating_policy=policy, backend=backend)
+            assert returned == [] and policy.steps == 0
+            return
         if route == "native-disabled":
             monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
         elif route == "vcs-above-max":
@@ -463,18 +473,11 @@ class TestCrossBackendEquivalence:
         elif route == "repeated-endpoint":
             spec = dataclasses.replace(spec, traffic=dataclasses.replace(
                 spec.traffic, endpoints=(0, 1, 1, 4)))
-        gated = route == "policy-subclass"
-        fast_policy = StepCountingPolicy(idle_timeout=16) if gated else None
-        ref_policy = StepCountingPolicy(idle_timeout=16) if gated else None
-        returned = spy_on_kernel(monkeypatch)
-        fast = simulate(spec, gating_policy=fast_policy, backend="vectorized")
+        fast = simulate(spec, backend="vectorized")
         assert returned == [None]
         monkeypatch.delenv("REPRO_NOC_NATIVE", raising=False)
-        ref = simulate(spec, gating_policy=ref_policy, backend="reference")
+        ref = simulate(spec, backend="reference")
         assert_identical(ref, fast, route)
-        if gated:
-            assert fast_policy.steps == fast.cycles_run  # its step ran
-            assert fast_policy.stats == ref_policy.stats
 
     def test_spec_backend_field_selects_engine(self):
         spec = make_spec(level=4, rate=0.1, seed=7)
@@ -899,8 +902,8 @@ _VARIANTS += [("hotspot", fraction) for fraction in (0.0, 1.0, 0.5)]
 
 @st.composite
 def differential_cases(draw, pattern, hotspot_fraction):
-    """A small ``pattern`` spec plus an optional sampling interval and an
-    optional ``(idle_timeout, protected_nodes)`` timeout-gating draw."""
+    """A small ``pattern`` spec, timeout-gated or not, plus an optional
+    sampling interval."""
     level = draw(st.sampled_from(_PATTERN_LEVELS[pattern]))
     side = 2 if level <= 4 and draw(st.booleans()) else 3
     topo = SprintTopology.for_level(side, side, level)
@@ -937,29 +940,21 @@ def differential_cases(draw, pattern, hotspot_fraction):
         faults=faults,
     )
     interval = draw(st.sampled_from((7, None, 1, 20)))
-    gating = draw(st.one_of(st.none(), st.tuples(
-        st.integers(1, 40), st.frozensets(st.sampled_from(nodes)))))
-    return spec, interval, gating
+    gating = draw(st.one_of(st.none(), st.builds(
+        TimeoutGating, st.integers(1, 40), st.frozensets(st.sampled_from(nodes)))))
+    return dataclasses.replace(spec, gating=gating), interval
 
 
-def _observed(spec, backend, interval, gating=None):
-    """A run's result and gating statistics, plus its begin-span stream,
-    samples and metrics when ``interval`` turns sampled telemetry on.
-    ``gating`` is ``(idle_timeout, protected_nodes)`` for a fresh
-    :class:`TimeoutGatingPolicy`, or None."""
+def _observed(spec, backend, interval):
+    """A run's whole result (``result.gating`` included), plus its
+    begin-span stream, samples and metrics when ``interval`` turns
+    sampled telemetry on."""
     from repro.telemetry import Telemetry
 
-    policy = None
-    if gating is not None:
-        idle_timeout, protected = gating
-        policy = TimeoutGatingPolicy(idle_timeout=idle_timeout,
-                                     protected_nodes=protected)
     tel = Telemetry(sample_interval=interval) if interval is not None else None
-    result = simulate(spec, gating_policy=policy, backend=backend,
-                      telemetry=tel)
-    stats = dataclasses.asdict(policy.stats) if policy is not None else None
+    result = simulate(spec, backend=backend, telemetry=tel)
     if tel is None:
-        return dataclasses.asdict(result), stats, None
+        return dataclasses.asdict(result), None
     events = tel.tracer.drain()
     spans = [
         (e["name"],
@@ -967,8 +962,7 @@ def _observed(spec, backend, interval, gating=None):
         for e in events if e["ev"] == "begin"
     ]
     samples = [e["data"] for e in events if e["ev"] == "sample"]
-    return (dataclasses.asdict(result), stats,
-            (spans, samples, tel.metrics.snapshot()))
+    return dataclasses.asdict(result), (spans, samples, tel.metrics.snapshot())
 
 
 class TestGenerativeDifferential:
@@ -983,10 +977,9 @@ class TestGenerativeDifferential:
     @given(data=st.data())
     def test_fast_path_matches_reference(self, pattern, hotspot_fraction,
                                          data):
-        spec, interval, gating = data.draw(
-            differential_cases(pattern, hotspot_fraction))
-        assert (_observed(spec, "reference", interval, gating)
-                == _observed(spec, "vectorized", interval, gating))
+        spec, interval = data.draw(differential_cases(pattern, hotspot_fraction))
+        assert (_observed(spec, "reference", interval)
+                == _observed(spec, "vectorized", interval))
 
     def test_fault_boundary_mid_window_carries_the_traffic_stream(self):
         """Two boundaries inside the measure window: the traffic stream

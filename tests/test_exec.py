@@ -15,7 +15,7 @@ from repro.noc.sim import (
     zero_load_cache,
     zero_load_latency,
 )
-from repro.noc.spec import SimulationSpec, TrafficSpec, stable_key
+from repro.noc.spec import SimulationSpec, TimeoutGating, TrafficSpec, stable_key
 from repro.noc.traffic import TrafficGenerator
 
 CFG = NoCConfig()
@@ -240,6 +240,22 @@ class TestSweepRunner:
         SweepRunner(cache=ResultCache(directory=str(tmp_path))).run([spec])
         report = SweepRunner(cache=ResultCache(directory=str(tmp_path))).run([spec])
         assert report.cache_hits == 1 and report.simulated == 0
+
+    def test_gated_grid_is_cached_like_any_spec(self, tmp_path):
+        """Timeout gating is spec data: each gated point keys apart from
+        its ungated twin, and a second runner on the same cache directory
+        hits every point and returns equal results, counters included."""
+        specs = [small_spec(level=16, rate=rate, gating=TimeoutGating(timeout))
+                 for rate in (0.02, 0.1) for timeout in (8, 32)]
+        keys = {spec.cache_key() for spec in specs}
+        assert len(keys) == len(specs)
+        assert small_spec(level=16, rate=0.02).cache_key() not in keys
+        first = SweepRunner(cache=ResultCache(directory=str(tmp_path))).run(specs)
+        second = SweepRunner(cache=ResultCache(directory=str(tmp_path))).run(specs)
+        assert first.simulated == len(specs)
+        assert second.cache_hits == len(specs) and second.simulated == 0
+        assert second.results == first.results
+        assert all(result.gating.gate_events > 0 for result in second.results)
 
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):

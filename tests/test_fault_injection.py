@@ -349,5 +349,3 @@ class TestHarnessFailureIsolation:
             SweepRunner(max_retries=-1)
         with pytest.raises(ValueError):
             SweepRunner(point_timeout=0)
-        with pytest.raises(ValueError):
-            SweepRunner(retry_backoff_s=-0.1)

@@ -36,6 +36,7 @@ from repro.noc.spec import (
     FaultEvent,
     FaultSchedule,
     SimulationSpec,
+    TimeoutGating,
     TrafficSpec,
     WireFormatError,
     spec_from_wire,
@@ -78,6 +79,7 @@ def spec_corpus():
             FaultEvent(cycle=60, kind="router", node=5),
             FaultEvent(cycle=80, kind="link", link=(1, 2), duration=40),
         ))),
+        make_spec(level=16, gating=TimeoutGating(16, frozenset({0, 5}))),
     ]
 
 
@@ -314,6 +316,30 @@ class TestServiceSingleflight:
         assert slowest < timeout_s / 2, f"a waiter was stranded ({slowest:.1f} s)"
         assert service.counter_value("service_simulations_total") == 1
 
+    def test_failed_spec_is_simulated_again_when_resubmitted(self, tmp_path,
+                                                             monkeypatch):
+        """A failure is not a result: resubmitting a spec whose attempts
+        failed runs it afresh on a new private fabric queue."""
+        service = ExperimentService(
+            cache=ResultCache(directory=str(tmp_path / "cache")), workers=2,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        wire = spec_to_wire(make_spec(seed=92))
+        key = spec_from_wire(wire).cache_key()
+        try:
+            monkeypatch.setenv("REPRO_SWEEP_CHAOS", "raise")
+            service.submit([wire], client="retry")
+            assert service.wait(key, timeout_s=60) is None
+            assert service.status(key) == "failed"
+            monkeypatch.delenv("REPRO_SWEEP_CHAOS")
+            service.submit([wire], client="retry")
+            value = service.wait(key, timeout_s=60)
+        finally:
+            service.close()
+        assert value is not None
+        assert service.status(key) == "done"
+        assert service.counter_value("service_simulations_total") == 1
+
 
 # ----------------------------------------------------------------------
 # 3. the HTTP front door
@@ -353,6 +379,18 @@ class TestHttpApi:
 
         expected = run_simulation(spec)
         assert doc["result"] == expected.to_wire()
+        assert doc["key"] == spec.cache_key()
+
+    def test_gated_spec_is_served_like_the_reference_run(self, server):
+        spec = make_spec(level=16, gating=TimeoutGating(16, frozenset({0})))
+        status, _, doc = http_json(
+            server.url + "/v1/evaluate",
+            data=json.dumps(spec_to_wire(spec)).encode())
+        assert status == 200 and doc["status"] == "done"
+        from repro.noc.sim import simulate
+
+        assert doc["result"] == simulate(spec, backend="reference").to_wire()
+        assert doc["result"]["result"]["gating"]["gate_events"] > 0
         assert doc["key"] == spec.cache_key()
 
     def test_batch_submit_and_ticket_progress(self, server):

@@ -32,11 +32,11 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from repro.config import NoCConfig  # noqa: E402
 from repro.core.topological import SprintTopology  # noqa: E402
 from repro.noc.backends import native  # noqa: E402
-from repro.noc.power_gating import TimeoutGatingPolicy  # noqa: E402
 from repro.noc.spec import (  # noqa: E402
     FaultEvent,
     FaultSchedule,
     SimulationSpec,
+    TimeoutGating,
     TrafficSpec,
 )
 
@@ -58,11 +58,11 @@ def mesh_spec(width, level, rate, pattern, routing="cdor", seed=1,
 
 
 def cases():
-    """(label, spec, idle timeout or None) for every run to compare."""
+    """(label, spec) for every run to compare."""
     from benchmarks.bench_fig09_network_latency import paired_specs
 
     for k, spec in enumerate(paired_specs()[1]):
-        yield f"fig9[{k}]", spec, None
+        yield f"fig9[{k}]", spec
     # one pass of the saturation grid (perfbench's saturation-serial)
     for width, levels, rates in ((4, (8, 12, 16), (0.2, 0.3, 0.4, 0.5, 0.6)),
                                  (8, (32, 64), (0.1, 0.2, 0.3, 0.4))):
@@ -71,30 +71,27 @@ def cases():
                 for rate in rates:
                     yield (f"sat {width}x{width} L{level} {pattern} {rate}",
                            mesh_spec(width, level, rate, pattern, seed=7,
-                                     windows=(300, 1000, 5000)), None)
-    yield "8x8 tornado", mesh_spec(8, 64, 0.4, "tornado"), None
-    yield "8x8 hotspot", mesh_spec(8, 64, 0.3, "hotspot"), None
-    yield "8x8 west_first", mesh_spec(8, 64, 0.45, "uniform", "west_first"), None
-    yield "4x4 gated", mesh_spec(4, 16, 0.3, "hotspot", "xy"), 8
+                                     windows=(300, 1000, 5000)))
+    yield "8x8 tornado", mesh_spec(8, 64, 0.4, "tornado")
+    yield "8x8 hotspot", mesh_spec(8, 64, 0.3, "hotspot")
+    yield "8x8 west_first", mesh_spec(8, 64, 0.45, "uniform", "west_first")
+    yield "4x4 gated", mesh_spec(4, 16, 0.3, "hotspot", "xy",
+                                 gating=TimeoutGating(idle_timeout=8))
     faults = FaultSchedule((FaultEvent(cycle=200, node=5, duration=150),))
     yield ("4x4 faulted gated",
-           mesh_spec(4, 16, 0.5, "uniform", faults=faults), 16)
+           mesh_spec(4, 16, 0.5, "uniform", faults=faults,
+                     gating=TimeoutGating(idle_timeout=16)))
     for vcs, depth in ((1, 1), (native._MAX_VCS, 2)):
         config = NoCConfig(vcs_per_port=vcs, buffers_per_vc=depth)
         yield (f"{vcs} VCs", mesh_spec(4, 16, 0.5, "transpose", "west_first",
-                                       config=config), None)
+                                       config=config))
 
 
-def observe(spec, idle_timeout):
-    policy = (TimeoutGatingPolicy(idle_timeout=idle_timeout)
-              if idle_timeout is not None else None)
-    result = native.execute(spec, gating_policy=policy)
+def observe(spec):
+    result = native.execute(spec)
     if result is None:
         raise RuntimeError("the kernel declined the run")
-    observed = dataclasses.asdict(result)
-    if policy is not None:
-        observed["gating_stats"] = dataclasses.asdict(policy.stats)
-    return observed
+    return dataclasses.asdict(result)
 
 
 def compile_or_report(flags, target) -> bool:
@@ -121,12 +118,12 @@ def main() -> int:
             return 1
         sanitized = native._declare(ctypes.CDLL(sanitized_path))
         mismatches = runs = 0
-        for label, spec, idle_timeout in cases():
+        for label, spec in cases():
             native._lib = production
-            expected = observe(spec, idle_timeout)
+            expected = observe(spec)
             native._lib = sanitized
             try:
-                observed = observe(spec, idle_timeout)
+                observed = observe(spec)
             finally:
                 native._lib = production
             runs += 1
