@@ -15,6 +15,7 @@ regions are convex, which is what makes CDOR routing deadlock-free.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.util.geometry import (
@@ -112,8 +113,10 @@ class SprintTopology:
     def level(self) -> int:
         return len(self.active_nodes)
 
-    @property
+    @functools.cached_property
     def active_set(self) -> frozenset[int]:
+        # built once per instance (the endpoint check of every spec asks
+        # per node); pickles written before it was cached load unchanged
         return frozenset(self.active_nodes)
 
     @property

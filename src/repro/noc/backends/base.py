@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.noc.result import SimulationResult
 from repro.noc.spec import SimulationSpec
+from repro.telemetry import active
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.telemetry import Telemetry
@@ -132,8 +133,6 @@ def required_capabilities(spec: SimulationSpec, telemetry=None) -> frozenset[str
     samples, ``telemetry_sampling``.  :func:`check_capabilities` and
     ``backend="auto"`` resolution are built on this.
     """
-    from repro.telemetry import active
-
     need = set()
     if spec.faults:
         need.add(CAP_FAULTS)
@@ -168,21 +167,19 @@ def resolve_backend(spec: SimulationSpec, *, telemetry=None) -> SimBackend:
     """The fastest registered backend that supports this run.
 
     This is what ``backend="auto"`` resolves through: every registered
-    backend is tested with :func:`supports`, and the supporting one with
-    the highest ``speed_rank`` wins (ties break deterministically by
-    name).  The reference backend supports everything, so resolution
-    never fails while it stays registered.
+    backend is tested as :func:`supports` tests it (the run's requirements
+    are derived once), and the supporting one with the highest
+    ``speed_rank`` wins (ties break deterministically by name).  The
+    reference backend supports everything, so resolution never fails
+    while it stays registered.
     """
+    need = required_capabilities(spec, telemetry)
     candidates = [
-        backend
-        for backend in _REGISTRY.values()
-        if supports(backend, spec, telemetry=telemetry)
+        backend for backend in _REGISTRY.values() if need <= backend.capabilities
     ]
     if not candidates:
         raise BackendCapabilityError(
-            "auto",
-            required_capabilities(spec, telemetry),
-            hint="no registered backend supports this run",
+            "auto", need, hint="no registered backend supports this run"
         )
     return max(candidates, key=lambda b: (_speed_rank(b), b.name))
 

@@ -66,6 +66,7 @@ Division of labour with the Python driver:
 
 from __future__ import annotations
 
+import array
 import ctypes
 import functools
 import hashlib
@@ -78,11 +79,12 @@ from types import MappingProxyType
 
 import numpy as np
 
-from repro.noc.activity import NetworkActivity
+from repro.noc.activity import NetworkActivity, RouterActivity
 from repro.noc.power_gating import GatingStats
 from repro.noc.result import SimulationResult
 from repro.noc.routing import PORT_COUNT, PORT_TO_DIRECTION, REVERSE_PORT
 from repro.noc.spec import SimulationSpec
+from repro.telemetry import active
 
 # each router's VC masks are single 64-bit words:
 # PORT_COUNT * vcs bits must fit (5 * 12 = 60)
@@ -998,6 +1000,8 @@ def _compile(source: str, flags: tuple[str, ...], target: str) -> None:
 
 
 def _build() -> ctypes.CDLL:
+    if array.array("I").itemsize != 4:  # how the driver holds MT19937 words
+        raise RuntimeError("no 32-bit unsigned int array type on this host")
     cached = _library_path(_KERNEL_SOURCE, _CFLAGS)
     if not os.path.exists(cached):
         _compile(_KERNEL_SOURCE, _CFLAGS, cached)
@@ -1005,30 +1009,35 @@ def _build() -> ctypes.CDLL:
 
 
 def _declare(lib: ctypes.CDLL) -> ctypes.CDLL:
-    """Give ``lib``'s exported functions their argument types."""
-    # arrays pass straight through, checked for dtype and contiguity
-    ptr = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
-    words = np.ctypeslib.ndpointer(dtype=np.uint32, flags="C_CONTIGUOUS")
-    doubles = np.ctypeslib.ndpointer(dtype=np.float64, flags="C_CONTIGUOUS")
+    """Give ``lib``'s exported functions their argument types.
+
+    Arrays pass as bare addresses: the driver allocates every one of them
+    itself, contiguous and of the kernel's type, so a per-call dtype check
+    could never fail -- and on a small region it cost more than the
+    simulation.  ``out`` alone stays an int64 ndarray argument, because
+    the repository benchmark's kernel wrapper reads it by position.
+    """
+    addr = ctypes.c_void_p
+    out = np.ctypeslib.ndpointer(dtype=np.int64, flags="C_CONTIGUOUS")
     c64 = ctypes.c_longlong
     f64 = ctypes.c_double
     lib.fold_stats.restype = None
-    lib.fold_stats.argtypes = [c64, ptr, ptr, doubles]  # n, lat, hops, out
+    lib.fold_stats.argtypes = [c64, addr, addr, addr]  # n, lat, hops, out
     lib.run_kernel.restype = c64
     lib.run_kernel.argtypes = [
         c64, c64, c64, c64,          # count, vcs, depth, mesh
-        ptr, ptr, ptr,               # neighbor, route, rev
-        c64, ptr, ptr, ptr,          # n_ep, ep_router, ep_node, perm
+        addr, addr, addr,            # neighbor, route, rev
+        c64, addr, addr, addr,       # n_ep, ep_router, ep_node, perm
         c64, c64, c64,               # pattern, length, hot
-        f64, f64, words,             # prob, hot_frac, mt
+        f64, f64, addr,              # prob, hot_frac, mt
         c64, c64,                    # start_cycle, stop_cycle
         c64, c64, c64,               # warmup, measure_end, deadline
-        c64, ptr,                    # n_seed, seeds
-        ptr, ptr, ptr, ptr, ptr,     # out, survivors, ej_lat, ej_hops, counters
+        c64, addr,                   # n_seed, seeds
+        out, addr, addr, addr, addr,  # out, survivors, ej_lat, ej_hops, counters
         c64, c64,                    # interval, s_cap
-        ptr, ptr, ptr, ptr, ptr,     # s_cycle, s_inflight, s_occ, s_ej, s_inj
-        ptr, ptr,                    # ej_out, inj_out
-        c64, ptr, ptr,               # idle_timeout, protect, s_gated
+        addr, addr, addr, addr, addr,  # s_cycle, s_inflight, s_occ, s_ej, s_inj
+        addr, addr,                  # ej_out, inj_out
+        c64, addr, addr,             # idle_timeout, protect, s_gated
     ]
     return lib
 
@@ -1058,14 +1067,38 @@ def available() -> bool:
     return _load() is not None
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
+def _pinned(array: np.ndarray) -> tuple[np.ndarray, int]:
+    """A read-only table and its address; the pair keeps the address valid."""
     array.flags.writeable = False
-    return array
+    return array, array.ctypes.data
 
 
-_REV = _frozen(np.array(
+_REV, _REV_ADDRESS = _pinned(np.array(
     [REVERSE_PORT.get(p, 0) for p in range(PORT_COUNT)], dtype=np.int64
 ))
+
+
+class _Workspace:
+    """One fresh int64 buffer holding, by name, every array of a call.
+
+    ``address[name]`` is what the kernel gets; ``self[name]`` is a view
+    for the driver to fill or read.  Views keep the buffer alive.
+    """
+
+    def __init__(self, sizes: dict):
+        self.sizes = sizes
+        self.start = start = {}
+        total = 0
+        for name, size in sizes.items():
+            start[name] = total
+            total += size or 1  # an empty array still gets its own address
+        self.buffer = np.empty(total, dtype=np.int64)
+        base = self.buffer.ctypes.data
+        self.address = {name: base + 8 * at for name, at in start.items()}
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        at = self.start[name]
+        return self.buffer[at:at + self.sizes[name]]
 
 
 @functools.lru_cache(maxsize=64)
@@ -1076,9 +1109,10 @@ def _region_arrays(topology, routing):
     ``router_index * mesh_size + dest_node`` to an output port (adaptive
     candidate pairs packed as ``8 | (c0 << 4) | (c1 << 8)``) and
     ``neighbor`` maps ``router_index * 5 + port`` to the neighboring
-    router index (-1 when unconnected).  Memoized per ``(topology,
-    routing)`` -- a grid revisits a handful of regions -- so every
-    caller shares the result, which is read-only throughout.
+    router index (-1 when unconnected), each a ``(table, address)`` pair.
+    Memoized per ``(topology, routing)`` -- a grid revisits a handful of
+    regions -- so every caller shares the result, which is read-only
+    throughout.
     """
     from repro.noc.routing import build_table
 
@@ -1100,7 +1134,7 @@ def _region_arrays(topology, routing):
             other = topology.neighbor(node, PORT_TO_DIRECTION[port])
             if other is not None and other in index_of:
                 neighbor[i * PORT_COUNT + port] = index_of[other]
-    return nodes, MappingProxyType(index_of), _frozen(route), _frozen(neighbor)
+    return nodes, MappingProxyType(index_of), _pinned(route), _pinned(neighbor)
 
 
 def _traffic_inputs(traffic):
@@ -1115,7 +1149,7 @@ def _traffic_inputs(traffic):
     pattern = {"uniform": _PATTERN_UNIFORM, "hotspot": _PATTERN_HOTSPOT}.get(
         traffic.pattern, _PATTERN_FIXED
     )
-    perm = np.full(len(traffic.endpoints), -1, dtype=np.int64)
+    perm = [-1] * len(traffic.endpoints)
     if pattern == _PATTERN_FIXED:
         for e, node in enumerate(traffic.endpoints):
             dest = traffic._destination(node)
@@ -1148,9 +1182,6 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     state, or credits not conserved on a link): that is a kernel bug,
     not a run to hand to the reference engine.
     """
-    from repro.core.faults import reconfigured_topology
-    from repro.telemetry import active as _active_telemetry
-
     gating = spec.gating
     idle_timeout, protected = -1, frozenset()  # -1: no gating
     if gating is not None:
@@ -1167,7 +1198,7 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     n_ep = len(endpoints)
     if len(traffic._index) != n_ep:
         return None
-    tel = _active_telemetry(telemetry)
+    tel = active(telemetry)
     interval = tel.sample_interval if tel is not None else 0
 
     depth = cfg.buffers_per_vc
@@ -1183,8 +1214,10 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     prob = traffic.injection_rate / length
 
     pattern, perm, hot = _traffic_inputs(traffic)
-    mt = np.array(traffic._rng.getstate()[1], dtype=np.uint32)
-    ep_node = np.array(endpoints, dtype=np.int64)
+    # the MT19937 words and index as C unsigned ints (32 bits on every
+    # supported host), advanced in place across the chain
+    mt = array.array("I", traffic._rng.getstate()[1])
+    mt_address = mt.buffer_info()[0]
     s_cap = deadline // interval + 2 if interval else 1
 
     counters = {
@@ -1196,8 +1229,9 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     ej_lats: list[np.ndarray] = []  # per segment, in ejection order
     ej_hop_counts: list[np.ndarray] = []
     activity = NetworkActivity()
+    routers = activity.routers
     gating_totals = [0, 0, 0]  # gate events, wake events, gated cycles
-    segments: list[dict] = []  # per-segment telemetry replay payloads
+    segments: list[tuple] = []  # (nodes, samples, workspace) to replay
     reconf_events: list[tuple[int, int]] = []  # (boundary cycle, new level)
 
     region, routing = planned, spec.routing
@@ -1208,17 +1242,11 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
             boundaries[len(reconf_events)]
             if len(reconf_events) < len(boundaries) else -1
         )
-        nodes, index_of, route, neighbor = _region_arrays(region, routing)
+        # the tables hold their arrays: keep them referenced through the call
+        tables = _region_arrays(region, routing)
+        nodes, index_of, (_, route), (_, neighbor) = tables
         count = len(nodes)
-        ep_router = np.array(
-            [index_of.get(node, -1) for node in endpoints], dtype=np.int64
-        )
         n_seed = len(seed_rows)
-        seeds = np.array(
-            [(index_of[src], dest, created, meas)
-             for src, dest, created, meas in seed_rows] or [(0, 0, 0, 0)],
-            dtype=np.int64,
-        )
         # creations happen only on the segment's own cycles, so these
         # bound the rows a stopped segment leaves unejected and the
         # measured packets any segment can eject
@@ -1227,29 +1255,41 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         ej_cap = n_seed + n_ep * max(
             0, min(measure_end, end) - max(warmup, seg_start)
         )
-        out = np.zeros(_OUT_LEN, dtype=np.int64)
-        survivors = np.empty(max(sv_cap, 1) * 5, dtype=np.int64)
-        ej_lat = np.empty(max(ej_cap, 1), dtype=np.int64)
-        ej_hops = np.empty(max(ej_cap, 1), dtype=np.int64)
-        kcounters = np.zeros(count * 5, dtype=np.int64)
-        s_cycle = np.empty(s_cap, dtype=np.int64)
-        s_inflight = np.empty(s_cap, dtype=np.int64)
-        s_occ = np.empty(s_cap * count, dtype=np.int64)
-        s_ej = np.empty(s_cap * count, dtype=np.int64)
-        s_inj = np.empty(s_cap * count, dtype=np.int64)
-        s_gated = np.empty(s_cap * count, dtype=np.int64)
-        ej_out = np.empty(count, dtype=np.int64)
-        inj_out = np.empty(count, dtype=np.int64)
-        protect = np.array([node in protected for node in nodes],
-                           dtype=np.int64)
+        # every array of the call is a slice of one buffer: the kernel
+        # gets addresses, the driver fills the inputs and reads the
+        # outputs through views
+        ws = _Workspace({
+            "out": _OUT_LEN, "counters": count * 5,  # both zeroed below
+            "ep_router": n_ep, "ep_node": n_ep, "perm": n_ep,
+            "seeds": n_seed * 4, "protect": count,
+            "survivors": sv_cap * 5, "ej_lat": ej_cap, "ej_hops": ej_cap,
+            "s_cycle": s_cap, "s_inflight": s_cap, "s_occ": s_cap * count,
+            "s_ej": s_cap * count, "s_inj": s_cap * count,
+            "s_gated": s_cap * count, "ej_out": count, "inj_out": count,
+        })
+        addr = ws.address
+        ws.buffer[:_OUT_LEN + count * 5] = 0  # out and counters lead it
+        ws["ep_router"][:] = [index_of.get(node, -1) for node in endpoints]
+        ws["ep_node"][:] = endpoints
+        ws["perm"][:] = perm
+        if n_seed:
+            ws["seeds"][:] = [
+                value for src, dest, created, meas in seed_rows
+                for value in (index_of[src], dest, created, meas)
+            ]
+        ws["protect"][:] = [node in protected for node in nodes]
+        out = ws["out"]
         status = lib.run_kernel(
-            count, vcs, depth, mesh_size, neighbor, route, _REV,
-            n_ep, ep_router, ep_node, perm,
-            pattern, length, hot, prob, traffic.hotspot_fraction, mt,
-            seg_start, stop, warmup, measure_end, deadline, n_seed, seeds,
-            out, survivors, ej_lat, ej_hops, kcounters, interval, s_cap,
-            s_cycle, s_inflight, s_occ, s_ej, s_inj, ej_out, inj_out,
-            idle_timeout, protect, s_gated,
+            count, vcs, depth, mesh_size, neighbor, route, _REV_ADDRESS,
+            n_ep, addr["ep_router"], addr["ep_node"], addr["perm"],
+            pattern, length, hot, prob, traffic.hotspot_fraction, mt_address,
+            seg_start, stop, warmup, measure_end, deadline,
+            n_seed, addr["seeds"], out, addr["survivors"],
+            addr["ej_lat"], addr["ej_hops"], addr["counters"],
+            interval, s_cap, addr["s_cycle"], addr["s_inflight"],
+            addr["s_occ"], addr["s_ej"], addr["s_inj"],
+            addr["ej_out"], addr["inj_out"],
+            idle_timeout, addr["protect"], addr["s_gated"],
         )
         if status in _SELF_CHECKS:
             raise RuntimeError(
@@ -1263,31 +1303,30 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
 
         # fold this segment's activity counters (buffer reads double as
         # crossbar traversals and switch arbitrations, as in the reference)
-        per_router = kcounters.tolist()
-        for i, node in enumerate(nodes):
-            writes, reads, links, grants, powered = per_router[i * 5:i * 5 + 5]
-            ra = activity.router(node)
-            ra.buffer_writes += writes
-            ra.buffer_reads += reads
-            ra.crossbar_traversals += reads
-            ra.switch_arbitrations += reads
-            ra.link_traversals += links
-            ra.vc_allocations += grants
-            ra.cycles_powered += powered
+        per_router = ws["counters"].tolist()
+        writes, reads, links, grants, powered = (
+            per_router[k::5] for k in range(5)
+        )
+        # RouterActivity in field order: buffer writes and reads, crossbar
+        # traversals, link traversals, VC allocations, switch arbitrations,
+        # powered cycles
+        for node, counts in zip(nodes, map(
+            RouterActivity, writes, reads, reads, links, grants, reads, powered
+        )):
+            if node in routers:
+                routers[node].merge(counts)
+            else:
+                routers[node] = counts
 
         created_measured += seg_created
         measured_ejected += n_ej
         measured_flits += seg_flits
         counters["dropped"] += seg_dropped
-        ej_lats.append(ej_lat[:n_ej])
-        ej_hop_counts.append(ej_hops[:n_ej])
+        ej_lats.append(ws["ej_lat"][:n_ej])
+        ej_hop_counts.append(ws["ej_hops"][:n_ej])
 
         if tel is not None:
-            segments.append(dict(
-                nodes=nodes, n_s=n_s, s_cycle=s_cycle, s_inflight=s_inflight,
-                s_occ=s_occ, s_ej=s_ej, s_inj=s_inj, s_gated=s_gated,
-                ej_out=ej_out, inj_out=inj_out,
-            ))
+            segments.append((nodes, n_s, ws))
 
         if not flags & _FLAG_BOUNDARY:
             cycles_run = seg_cycles
@@ -1295,11 +1334,13 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
 
         # boundary: reconfigure and replay drop-and-retransmit (survivor
         # order is pid order, exactly like Network.extract_in_flight)
+        from repro.core.faults import reconfigured_topology
+
         region = reconfigured_topology(planned, faults, stop)
         keep = set(region.active_nodes)
         seed_rows = []
         for src, dest, created, meas, started in (
-            survivors[:n_sv * 5].reshape(n_sv, 5).tolist()
+            ws["survivors"][:n_sv * 5].reshape(n_sv, 5).tolist()
         ):
             src = nodes[src]
             if src in keep and dest in keep:
@@ -1321,9 +1362,11 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
     )
     summary = [0.0] * 6  # latency mean, hop mean, max latency, p50, p95, p99
     if measured_ejected:
-        folded = np.empty(6, dtype=np.float64)
-        lib.fold_stats(measured_ejected, np.concatenate(ej_lats),
-                       np.concatenate(ej_hop_counts), folded)
+        lat = np.concatenate(ej_lats)  # sorted in place by the fold
+        hops = np.concatenate(ej_hop_counts)
+        folded = array.array("d", summary)
+        lib.fold_stats(measured_ejected, lat.ctypes.data, hops.ctypes.data,
+                       folded.buffer_info()[0])
         summary = folded.tolist()
 
     if tel is not None:
@@ -1427,10 +1470,8 @@ def _emit_run_telemetry(
     inj: dict[int, int] = {}
     ej: dict[int, int] = {}
     gated_cycles: dict[int, int] = {}
-    for seg in segments:
-        nodes = seg["nodes"]
+    for nodes, n_s, seg in segments:
         count = len(nodes)
-        n_s = seg["n_s"]
         s_occ = seg["s_occ"][:n_s * count].tolist()
         s_ej = seg["s_ej"][:n_s * count].tolist()
         s_inj = seg["s_inj"][:n_s * count].tolist()

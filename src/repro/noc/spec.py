@@ -35,29 +35,75 @@ def _field_default(f: dataclasses.Field):
     return dataclasses.MISSING
 
 
+#: exact types that are their own canonical form
+_SCALARS = frozenset({type(None), bool, int, float, str})
+
+#: class -> its field plan (see :func:`_field_plan`); None for a class
+#: that is not a dataclass.  Filled on first use; two threads that race on
+#: a class both store the same plan.
+_PLANS: dict[type, tuple | None] = {}
+
+
+def _field_plan(cls) -> tuple | None:
+    """``(name, omit_when_default, default)`` per field of dataclass ``cls``.
+
+    Fields marked ``omit_when_default`` vanish from the canonical form
+    while they hold their default value, so adding such a field to a spec
+    class never invalidates existing cache keys.
+    """
+    try:
+        return _PLANS[cls]
+    except KeyError:
+        pass
+    plan = None
+    if dataclasses.is_dataclass(cls):
+        plan = tuple(
+            (f.name, True, _field_default(f))
+            if f.metadata.get("omit_when_default") else (f.name, False, None)
+            for f in dataclasses.fields(cls)
+        )
+    _PLANS[cls] = plan
+    return plan
+
+
 def _canonical(obj):
-    """A JSON-serializable canonical form of nested dataclasses/values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+    """A JSON-serializable canonical form of nested dataclasses/values.
+
+    Scalars (most of a spec: its node lists) return at once, and each
+    dataclass's fields come from its cached plan.
+    """
+    cls = type(obj)
+    if cls in _SCALARS:
+        return obj
+    plan = _field_plan(cls)
+    if plan is not None:
         payload = {}
-        for f in dataclasses.fields(obj):
-            value = getattr(obj, f.name)
-            # Fields marked `omit_when_default` vanish from the canonical
-            # form while they hold their default value, so adding such a
-            # field to a spec class never invalidates existing cache keys.
-            if f.metadata.get("omit_when_default") and value == _field_default(f):
+        for name, omit, default in plan:
+            value = getattr(obj, name)
+            if omit and value == default:
                 continue
-            payload[f.name] = _canonical(value)
-        payload["__class__"] = type(obj).__name__
+            payload[name] = value if type(value) in _SCALARS else _canonical(value)
+        payload["__class__"] = cls.__name__
         return payload
     if isinstance(obj, dict):
         return {str(k): _canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, (list, tuple)):
-        return [_canonical(item) for item in obj]
+        return [item if type(item) in _SCALARS else _canonical(item)
+                for item in obj]
     if isinstance(obj, frozenset):
         return sorted(_canonical(item) for item in obj)
     if obj is None or isinstance(obj, (bool, int, float, str)):
         return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
+
+
+#: compact, key-sorted JSON (one encoder, shared: encoding keeps no state)
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def _digest(form) -> str:
+    """SHA-256 of a canonical form's compact, key-sorted JSON."""
+    return hashlib.sha256(_encode(form).encode("utf-8")).hexdigest()
 
 
 def stable_key(obj) -> str:
@@ -67,8 +113,7 @@ def stable_key(obj) -> str:
     so on-disk cache entries written by one interpreter are valid in any
     other.
     """
-    blob = json.dumps(_canonical(obj), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return _digest(_canonical(obj))
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +383,10 @@ class FaultSchedule:
         )
 
 
+#: the engine a spec runs on when it names none
+_DEFAULT_BACKEND = "reference"
+
+
 @dataclass(frozen=True)
 class SimulationSpec:
     """Everything needed to run (and cache) one network simulation.
@@ -364,7 +413,8 @@ class SimulationSpec:
     # feature set both support.  The sentinel "auto" defers the choice to
     # the registry (fastest backend covering the spec's requirements) and
     # canonicalizes to the *resolved* name in cache keys.
-    backend: str = field(default="reference", metadata={"omit_when_default": True})
+    backend: str = field(default=_DEFAULT_BACKEND,
+                         metadata={"omit_when_default": True})
     # run-time timeout gating of every router (None: the static gating the
     # topology implies); omitted from the canonical form when None, so
     # ungated specs keep their cache keys and wire bodies
@@ -373,6 +423,9 @@ class SimulationSpec:
     )
 
     def __post_init__(self) -> None:
+        if self.faults is None:
+            # no schedule is the empty schedule: same run, same cache key
+            object.__setattr__(self, "faults", FaultSchedule())
         if self.warmup_cycles < 0 or self.measure_cycles < 1 or self.drain_cycles < 0:
             raise ValueError("simulation windows must be non-negative (measure >= 1)")
         if not isinstance(self.backend, str) or not self.backend:
@@ -433,10 +486,16 @@ class SimulationSpec:
         bit may share results; the omit-when-default rule already makes
         the explicit default and the omitted field identical).
         """
-        spec = self
+        body = _canonical(self)
         if self.backend == "auto":
-            spec = dataclasses.replace(self, backend=self.resolved_backend())
-        return stable_key(("simulate", spec))
+            # the canonical form of this spec with the resolved name in
+            # place of "auto" (omitted when it names the default engine)
+            name = self.resolved_backend()
+            if name == _DEFAULT_BACKEND:
+                del body["backend"]
+            else:
+                body["backend"] = name
+        return _digest(["simulate", body])
 
     def with_seed(self, seed: int) -> "SimulationSpec":
         """The same run under a different traffic seed."""

@@ -270,6 +270,28 @@ class TestCacheKeys:
         with pytest.raises(ValueError, match="backend"):
             make_spec(backend="")
 
+    def test_faults_none_is_the_empty_schedule(self):
+        spec, default = make_spec(faults=None), make_spec()
+        assert spec == default and spec.faults == FaultSchedule()
+        assert spec.cache_key() == default.cache_key()
+        assert spec.to_wire() == default.to_wire()
+
+    def test_auto_key_builds_no_spec(self, monkeypatch):
+        """An auto spec keys as its resolved engine without rebuilding
+        itself (a rebuild re-runs the O(level^2) endpoint check)."""
+        spec = make_spec(level=16, backend="auto")
+        expected = make_spec(level=16, backend="vectorized").cache_key()
+        built = []
+        post_init = SimulationSpec.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(SimulationSpec, "__post_init__", counting)
+        assert spec.cache_key() == expected
+        assert built == []
+
     def test_zero_load_memo_keys_by_backend(self):
         topo = SprintTopology.for_level(4, 4, 4)
         ref = zero_load_latency(topo, CFG, "cdor")
@@ -322,6 +344,21 @@ class TestAutoBackend:
         finally:
             _REGISTRY.clear()
             _REGISTRY.update(saved)
+
+    def test_resolution_derives_requirements_once(self, monkeypatch):
+        from repro.noc.backends import base
+
+        calls = []
+        required = base.required_capabilities
+
+        def counting(spec, telemetry=None):
+            calls.append(spec)
+            return required(spec, telemetry)
+
+        monkeypatch.setattr(base, "required_capabilities", counting)
+        assert len(list_backends()) >= 2
+        assert resolve_backend(make_spec()).name == "vectorized"
+        assert len(calls) == 1
 
     def test_auto_cache_key_is_the_resolved_engines(self):
         auto = make_spec(backend="auto")
@@ -625,6 +662,35 @@ class TestNativeKernel:
                          measure=400, drain_cycles=500)
         with pytest.raises(RuntimeError, match=f"self-check failed: .*{message}"):
             native.execute(spec)
+
+    def test_kernel_takes_every_array_but_out_by_address(self, monkeypatch):
+        """Only ``out`` crosses the call as an ndarray (the frozen
+        benchmark reads it); every other array goes as a bare address,
+        with no per-call conversion."""
+        import numpy as np
+
+        native = needs_kernel()
+        lib = native._lib
+        arrays = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(lib, name)
+
+            def run_kernel(self, *args):
+                arrays.append([i for i, arg in enumerate(args)
+                               if isinstance(arg, np.ndarray)])
+                return lib.run_kernel(*args)
+
+        monkeypatch.setattr(native, "_lib", Spy())
+        spec = make_spec(level=16, rate=0.3, seed=2, warmup=100, measure=300,
+                         drain_cycles=500, gating=TimeoutGating(8),
+                         faults=FaultSchedule((FaultEvent(cycle=150, node=5),)))
+        from repro.telemetry import Telemetry
+
+        result = native.execute(spec, telemetry=Telemetry(sample_interval=50))
+        assert result.reconfigurations == 1
+        assert arrays == [[24], [24]]
 
     @pytest.mark.parametrize("faulted", [False, True])
     def test_frozen_benchmark_reads_the_kernel_call(self, faulted,
@@ -992,3 +1058,81 @@ class TestGenerativeDifferential:
         assert reference[0]["reconfigurations"] == 2
         assert reference[0]["packets_retransmitted"] > 0
         assert reference == _observed(spec, "vectorized", 10)
+
+
+# ----------------------------------------------------------------------
+# the canonical form against a plain recursive canonicalizer: the
+# cache-key and wire-body rules as first written, kept here verbatim so
+# a faster canonicalization can be checked against them
+# ----------------------------------------------------------------------
+def _reference_field_default(f: dataclasses.Field):
+    if f.default is not dataclasses.MISSING:
+        return f.default
+    if f.default_factory is not dataclasses.MISSING:
+        return f.default_factory()
+    return dataclasses.MISSING
+
+
+def _reference_canonical(obj):
+    """A JSON-serializable canonical form of nested dataclasses/values."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        payload = {}
+        for f in dataclasses.fields(obj):
+            value = getattr(obj, f.name)
+            # Fields marked `omit_when_default` vanish from the canonical
+            # form while they hold their default value, so adding such a
+            # field to a spec class never invalidates existing cache keys.
+            if f.metadata.get("omit_when_default") and value == _reference_field_default(f):
+                continue
+            payload[f.name] = _reference_canonical(value)
+        payload["__class__"] = type(obj).__name__
+        return payload
+    if isinstance(obj, dict):
+        return {str(k): _reference_canonical(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
+    if isinstance(obj, (list, tuple)):
+        return [_reference_canonical(item) for item in obj]
+    if isinstance(obj, frozenset):
+        return sorted(_reference_canonical(item) for item in obj)
+    if obj is None or isinstance(obj, (bool, int, float, str)):
+        return obj
+    raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
+
+
+def _reference_stable_key(obj) -> str:
+    import hashlib
+    import json
+
+    blob = json.dumps(_reference_canonical(obj), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _reference_cache_key(spec) -> str:
+    if spec.backend == "auto":
+        spec = dataclasses.replace(spec, backend=spec.resolved_backend())
+    return _reference_stable_key(("simulate", spec))
+
+
+class TestCanonicalForm:
+    """``cache_key()`` and the wire body equal what the plain recursive
+    canonicalizer above makes of the same spec, on every drawn spec."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_matches_the_recursive_canonicalizer(self, data):
+        from repro.noc.spec import spec_to_wire
+
+        variant = data.draw(st.sampled_from(_VARIANTS))
+        spec, _ = data.draw(differential_cases(*variant))
+        spec = spec.with_backend(
+            data.draw(st.sampled_from(("auto", "reference", "vectorized"))))
+        assert spec.cache_key() == _reference_cache_key(spec)
+        assert spec_to_wire(spec)["spec"] == _reference_canonical(spec)
+
+    def test_key_of_values_outside_specs(self):
+        topo = SprintTopology.for_level(4, 4, 4)
+        for value in (("zero_load_latency", topo, CFG, "cdor"),
+                      {"b": (1, 2.5), 3: [None, True, frozenset({2, 1})]},
+                      ("simulate", make_spec(gating=TimeoutGating(4)))):
+            assert stable_key(value) == _reference_stable_key(value)
+        with pytest.raises(TypeError, match="cannot canonicalize set"):
+            stable_key({1, 2})

@@ -60,6 +60,23 @@ class TestSprintOrder:
 
 
 class TestSprintTopology:
+    def test_active_set_is_built_once(self):
+        topo = SprintTopology.for_level(8, 8, 64)
+        assert topo.active_set is topo.active_set
+        assert topo.active_set == frozenset(topo.active_nodes)
+
+    def test_pickles_load_with_or_without_the_cached_set(self):
+        import pickle
+
+        # a topology pickled before the set was built carries only its
+        # four fields, like every pickle written before the set was cached
+        bare = pickle.dumps(SprintTopology.for_level(4, 4, 8))
+        assert b"active_set" not in bare
+        topo = pickle.loads(bare)
+        assert topo.is_active(9) and not topo.is_active(3)
+        built = pickle.loads(pickle.dumps(topo))
+        assert built == topo and built.active_set == topo.active_set
+
     def test_for_level(self):
         topo = SprintTopology.for_level(4, 4, 4)
         assert topo.active_nodes == (0, 1, 4, 5)
