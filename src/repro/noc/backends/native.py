@@ -1259,7 +1259,7 @@ def execute(spec: SimulationSpec, telemetry=None) -> SimulationResult | None:
         # gets addresses, the driver fills the inputs and reads the
         # outputs through views
         ws = _Workspace({
-            "out": _OUT_LEN, "counters": count * 5,  # both zeroed below
+            "out": _OUT_LEN, "counters": count * 5,
             "ep_router": n_ep, "ep_node": n_ep, "perm": n_ep,
             "seeds": n_seed * 4, "protect": count,
             "survivors": sv_cap * 5, "ej_lat": ej_cap, "ej_hops": ej_cap,
