@@ -14,7 +14,7 @@ snapshot.  :mod:`repro.telemetry.compare` diffs two such records;
 Durability model
 ----------------
 
-Records are appended with :func:`repro.util.durable.append_line`, a
+Records are appended with :func:`repro.util.durable.append_text`, a
 single ``write(2)`` on an ``O_APPEND`` file descriptor, so concurrent
 writers (parallel benchmark sessions, two ``SweepRunner`` processes
 sharing a ledger directory) interleave whole lines, never bytes: the
@@ -39,7 +39,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.util.durable import append_line, read_lines
+from repro.util.durable import append_text, read_lines
 
 LEDGER_ENV = "REPRO_LEDGER"
 LEDGER_DIR_ENV = "REPRO_LEDGER_DIR"
@@ -228,9 +228,14 @@ class Ledger:
         blob = json.dumps(body, sort_keys=True, separators=(",", ":"))
         run_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
         record = RunRecord.from_json(dict(body, run_id=run_id))
+        # the line is the body with "run_id" in its sorted place, just
+        # before the top-level "spec_keys": the last such key in the blob,
+        # since only the key strings, ts and wall_s follow it
+        at = blob.rindex(',"spec_keys":')
+        line = f'{blob[:at]},"run_id":"{run_id}"{blob[at:]}\n'
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
-            append_line(self.path, record.to_json())
+            append_text(self.path, line)
         except OSError:
             return None
         return record

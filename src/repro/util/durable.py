@@ -4,7 +4,7 @@ The result cache, the sweep fabric's queue directory, the run ledger and
 the live dashboard persist state that other processes read while it is
 being written, and that must survive a writer SIGKILLed at any instant:
 whole-file publishes (:func:`write_atomic`), JSONL logs
-(:func:`append_line` / :func:`read_lines`), claim files
+(:func:`append_line` / :func:`append_text` / :func:`read_lines`), claim files
 (:func:`create_exclusive`) and tolerant JSON reads (:func:`read_json`).
 """
 
@@ -40,13 +40,20 @@ def write_atomic(path, data: bytes, fsync: bool) -> None:
 
 
 def append_line(path, record: dict) -> None:
-    """Append ``record`` as one compact, key-sorted JSON line.
+    """Append ``record`` as one compact, key-sorted JSON line (see
+    :func:`append_text`)."""
+    append_text(
+        path, json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    )
+
+
+def append_text(path, line: str) -> None:
+    """Append ``line``, an already encoded newline-terminated record.
 
     One ``write(2)`` on an ``O_APPEND`` descriptor: POSIX appends the
     whole line atomically, so concurrent writers interleave whole lines,
     never bytes, without locking.
     """
-    line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
     try:
         os.write(fd, line.encode("utf-8"))

@@ -12,11 +12,16 @@ import random
 import zlib
 
 
-def stream(seed: int, name: str) -> random.Random:
-    """Return an independent :class:`random.Random` for (seed, name).
+def stream_seed(seed: int, name: str) -> int:
+    """The 32-bit seed of stream (seed, name).
 
-    The stream seed mixes the experiment seed with a CRC of the stream name,
-    which is stable across processes and Python versions (unlike ``hash``).
+    It mixes the experiment seed with a CRC of the stream name, which is
+    stable across processes and Python versions (unlike ``hash``).
     """
-    mixed = (seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) & 0xFFFFFFFF
-    return random.Random(mixed)
+    return (seed * 0x9E3779B1 + zlib.crc32(name.encode("utf-8"))) & 0xFFFFFFFF
+
+
+def stream(seed: int, name: str) -> random.Random:
+    """Return an independent :class:`random.Random` for (seed, name),
+    seeded with :func:`stream_seed`."""
+    return random.Random(stream_seed(seed, name))

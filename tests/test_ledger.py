@@ -127,6 +127,87 @@ class TestLedger:
         # every line parsed cleanly: ids unique, none torn
         assert len({r.run_id for r in records}) == 80
 
+    def test_line_is_one_encode_of_the_parent_recipe(self, tmp_path,
+                                                     monkeypatch):
+        """The appended line and run id are byte for byte what encoding
+        the body, hashing it and re-encoding the round-tripped record
+        produced; the record is now encoded once."""
+        import hashlib
+
+        from repro.telemetry import ledger as ledger_module
+
+        body = {
+            "ts": 1234.5, "kind": "sweep", "label": "unit",
+            "backend": "vectorized", "git_rev": "abc123",
+            "fingerprint": "f" * 16, "spec_keys": ["k2", "k1", "k1"],
+            "wall_s": 0.25, "cpu_s": 0.125,
+            "points": {"k1": {"avg_latency": 20.0, "saturated": 0.0},
+                       "k2": {"avg_latency": 30.5, "saturated": 1.0}},
+            "headline": {"avg_latency": 25.25, "failures": 0.0},
+            "metrics": {"counters": {"spec_keys": 2}, "ts": [1, 2]},
+        }
+        encodes = []
+        dumps = json.dumps
+
+        def spy(*args, **kwargs):
+            encodes.append(args[0])
+            return dumps(*args, **kwargs)
+
+        ledger = Ledger(directory=tmp_path)
+        monkeypatch.setattr(ledger_module.json, "dumps", spy)
+        rec = ledger.record(**{k: v for k, v in body.items() if k != "kind"},
+                            kind="sweep")
+        monkeypatch.setattr(ledger_module.json, "dumps", dumps)
+        assert len(encodes) == 1
+
+        # the recipe the ledger followed before
+        blob = dumps(body, sort_keys=True, separators=(",", ":"))
+        run_id = hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
+        expected = RunRecord.from_json(dict(body, run_id=run_id))
+        line = dumps(expected.to_json(), sort_keys=True,
+                     separators=(",", ":")) + "\n"
+        assert rec == expected
+        assert ledger.path.read_text(encoding="utf-8") == line
+
+    def test_sweep_record_resolves_auto_once(self, tmp_path, monkeypatch):
+        """A 24-point auto fig-9 request resolves its ledger backend once;
+        specs on two engines still record "mixed"."""
+        from benchmarks.bench_fig09_network_latency import paired_specs
+
+        import repro.noc.backends as backends
+        from repro.exec.runner import SweepRunner as Runner
+
+        resolve = backends.resolve_backend
+        record_run = Runner._record_run
+        calls = []
+        inside = []
+
+        def counting(*args, **kwargs):
+            if inside:
+                calls.append(args)
+            return resolve(*args, **kwargs)
+
+        def recording(self, *args, **kwargs):
+            inside.append(True)
+            try:
+                return record_run(self, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(backends, "resolve_backend", counting)
+        monkeypatch.setattr(Runner, "_record_run", recording)
+        specs = [spec.with_backend("auto") for spec in paired_specs()[1]]
+        assert len(specs) == 24
+        ledger = Ledger(directory=tmp_path)
+        report = SweepRunner(ledger=ledger).run(specs)
+        assert len(calls) == 1
+        assert report.run_record.backend == specs[0].resolved_backend()
+
+        mixed = [small_spec(rate=0.05).with_backend("reference"),
+                 small_spec(rate=0.05).with_backend("vectorized")]
+        assert SweepRunner(ledger=ledger).run(mixed).run_record.backend \
+            == "mixed"
+
     def test_sweep_runner_records(self, tmp_path):
         ledger = Ledger(directory=tmp_path)
         runner = SweepRunner(ledger=ledger, ledger_label="unit")
