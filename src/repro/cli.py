@@ -218,6 +218,7 @@ def _resume_hint(args: argparse.Namespace) -> str:
 def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     """Parallel, cached grid sweep (rate x pattern x level) via repro.exec."""
     from repro.exec import ResultCache, SweepRunner
+    from repro.exec.runner import ChaosPlan
     from repro.power import network_power
 
     levels = args.levels or [4, 8]
@@ -227,6 +228,7 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
         print("--resume needs --cache-dir (the checkpoint lives in the cache)")
         return 2
     try:
+        ChaosPlan.from_env()  # a malformed chaos recipe runs nothing
         faults = [_parse_fault(text) for text in (args.fault or [])]
         specs = _grid_specs(levels, rates, patterns, args.seed,
                             args.warmup, args.measure, args.drain,
@@ -274,13 +276,13 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
     if args.fabric:
         from repro.exec import FabricConfig
 
+        knobs = {"lease_ttl_s": args.lease_ttl,
+                 "quarantine_after": args.quarantine_after}
         try:
             fabric_config = FabricConfig(
-                queue_dir=args.fabric,
-                workers=args.workers,
-                lease_ttl_s=args.lease_ttl,
-                quarantine_after=args.quarantine_after,
-            )
+                queue_dir=args.fabric, workers=args.workers,
+                **{name: value for name, value in knobs.items()
+                   if value is not None})
         except ValueError as err:
             print(f"invalid sweep grid: {err}")
             return 2
@@ -552,9 +554,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--measure", type=int, default=1000)
     sweep.add_argument("--drain", type=int, default=4000)
     sweep.add_argument("--max-retries", type=int, default=0,
-                       help="re-attempts per failing point (serial retries "
-                            "back off exponentially; --fabric counts "
-                            "--quarantine-after instead)")
+                       help="re-attempts per failing point, made at once "
+                            "(--fabric counts --quarantine-after instead)")
     sweep.add_argument("--point-timeout", type=float, default=None,
                        help="seconds a local worker may hold one point "
                             "before it is killed and the point retried "
@@ -592,12 +593,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "--workers local worker processes (0 = external "
                             "only) plus any `repro worker --queue QUEUE_DIR` "
                             "joined from elsewhere; survives worker churn")
-    sweep.add_argument("--lease-ttl", type=float, default=10.0,
+    # None: FabricConfig's default
+    sweep.add_argument("--lease-ttl", type=float, default=None,
                        metavar="SECONDS",
                        help="fabric lease lifetime; a worker that stops "
                             "heartbeating for this long forfeits its point "
                             "(default 10)")
-    sweep.add_argument("--quarantine-after", type=int, default=3, metavar="N",
+    sweep.add_argument("--quarantine-after", type=int, default=None,
+                       metavar="N",
                        help="quarantine a point after N failed fabric "
                             "attempts on it: errors and expired leases, "
                             "on any worker (default 3)")

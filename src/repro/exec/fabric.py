@@ -55,21 +55,12 @@ The event log is read in exactly one way, :class:`QueueLog`: the
 coordinator, every worker, the audit and ``repro watch`` all take their
 verdicts and counts from that one fold, so they agree event for event.
 
-Chaos modes (``REPRO_SWEEP_CHAOS``, on top of the ``raise``/``exit``/
-``hang``/``exit-once`` recipes handled inside the simulation guard):
-
-- ``kill9[:DELAY[:JITTER]]``   -- every worker SIGKILLs itself DELAY +
-  U(0,JITTER) seconds after starting (default 0.5+0.5), whatever it is
-  doing: constant worker churn;
-- ``stall-heartbeat[:RATE[:SECONDS]]`` -- with per-(point, attempt)
-  probability RATE the worker stops heartbeating and stalls before
-  simulating, so its lease expires and the point is re-leased while the
-  stalled worker is fenced out;
-- ``torn-write[:RATE]``        -- the worker writes a truncated result
-  directly to the cache slot (bypassing the crash-atomic writer) and
-  SIGKILLs itself: the corrupt-entry path must swallow it;
-- ``slow[:RATE[:SECONDS]]``    -- the worker sleeps before simulating
-  while *keeping* its heartbeat: leases must be extended, not expired.
+Chaos (``REPRO_SWEEP_CHAOS``, parsed by :class:`~repro.exec.runner.ChaosPlan`)
+strikes the attempts whose :func:`chaos_coin` is below the recipe's RATE:
+``kill9`` SIGKILLs the worker after its claim, after it published the
+result or after its ``done``; ``stall-heartbeat`` lets the lease lapse
+until the coordinator reclaims it; ``torn-write`` writes a truncated
+result and dies; ``slow`` dawdles while heartbeating.
 """
 
 from __future__ import annotations
@@ -78,7 +69,6 @@ import hashlib
 import json
 import os
 import pickle
-import random
 import signal
 import sys
 import threading
@@ -90,7 +80,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.exec.cache import ResultCache
-from repro.exec.runner import CHAOS_ENV, _simulate_guarded
+from repro.exec.runner import ChaosPlan, _simulate_guarded, chaos_coin
 from repro.telemetry import TelemetryContext
 from repro.telemetry.live import shard_of
 from repro.util.durable import (
@@ -111,6 +101,11 @@ WORKERS_DIR = "workers"
 
 #: Coordinator and worker scan period, seconds.
 POLL_S = 0.01
+#: Default lease lifetime, seconds: a worker that stops heartbeating for
+#: this long forfeits its point.
+LEASE_TTL_S = 10.0
+#: Default number of failed attempts that quarantines a point.
+QUARANTINE_AFTER = 3
 #: Grace for in-flight points once a drain is requested, seconds.
 DRAIN_TIMEOUT_S = 30.0
 #: Content-derived buckets the live views group points into.
@@ -157,8 +152,8 @@ class FabricConfig:
 
     queue_dir: str
     workers: int = 2                  # local worker processes (0: external only)
-    lease_ttl_s: float = 10.0         # heartbeat-extended claim lifetime
-    quarantine_after: int = 3         # failed attempts per point
+    lease_ttl_s: float = LEASE_TTL_S  # heartbeat-extended claim lifetime
+    quarantine_after: int = QUARANTINE_AFTER  # failed attempts per point
 
     def __post_init__(self):
         if self.workers < 0:
@@ -167,37 +162,6 @@ class FabricConfig:
             raise ValueError("lease_ttl_s must be positive")
         if self.quarantine_after < 1:
             raise ValueError("quarantine_after must be >= 1")
-
-
-# ----------------------------------------------------------------------
-# chaos
-# ----------------------------------------------------------------------
-def chaos_coin(key: str, attempt: int) -> float:
-    """Deterministic uniform coin for one (point, attempt) pair."""
-    digest = hashlib.sha256(f"{key}#{attempt}".encode("utf-8")).hexdigest()
-    return int(digest[:8], 16) / float(0xFFFFFFFF)
-
-
-@dataclass(frozen=True)
-class ChaosPlan:
-    """Parsed ``REPRO_SWEEP_CHAOS`` recipe (fabric-level modes only)."""
-
-    mode: str
-    args: tuple[str, ...] = ()
-
-    @classmethod
-    def from_env(cls) -> "ChaosPlan | None":
-        recipe = os.environ.get(CHAOS_ENV, "").strip()
-        if not recipe:
-            return None
-        parts = recipe.split(":")
-        return cls(parts[0], tuple(parts[1:]))
-
-    def num(self, index: int, default: float) -> float:
-        try:
-            return float(self.args[index])
-        except (IndexError, ValueError):
-            return default
 
 
 # ----------------------------------------------------------------------
@@ -320,6 +284,11 @@ class LeaseTable:
     def settings(self) -> dict:
         return (self.meta or {}).get("settings", {})
 
+    @property
+    def lease_ttl_s(self) -> float:
+        """The queue's lease lifetime, seconds."""
+        return float(self.settings.get("lease_ttl_s") or LEASE_TTL_S)
+
     def shard(self, key: str) -> int:
         """The content-derived shard id of one point (for live views)."""
         return shard_of(key, int(self.settings.get("shards") or 0))
@@ -343,7 +312,6 @@ class LeaseTable:
     # leases -------------------------------------------------------------
     def claim(self, key: str, worker: str, attempt: int) -> dict | None:
         """Claim ``key`` under a time-bounded lease; None when already held."""
-        ttl = float(self.settings.get("lease_ttl_s", 10.0))
         now = time.time()
         payload = {
             "key": key,
@@ -351,7 +319,7 @@ class LeaseTable:
             "attempt": attempt,
             "nonce": uuid.uuid4().hex[:12],
             "claimed": now,
-            "deadline": now + ttl,
+            "deadline": now + self.lease_ttl_s,
         }
         try:
             if not create_exclusive(self.lease_path(key),
@@ -370,15 +338,17 @@ class LeaseTable:
     def lease_exists(self, key: str) -> bool:
         return self.lease_path(key).exists()
 
-    def heartbeat(self, key: str, worker: str, nonce: str) -> bool:
-        """Extend our lease; ``False`` when fenced out (lease reclaimed
-        or re-claimed by another worker)."""
+    def heartbeat(self, key: str, worker: str, nonce: str,
+                  extend: bool = True) -> bool:
+        """Extend our lease by a ttl (``extend=False``: let it lapse now);
+        ``False`` when fenced out (lease reclaimed or re-claimed by
+        another worker)."""
         current = self.read_lease(key)
         if (not current or current.get("worker") != worker
                 or current.get("nonce") != nonce):
             return False
-        ttl = float(self.settings.get("lease_ttl_s", 10.0))
-        current["deadline"] = time.time() + ttl
+        current["deadline"] = time.time() + (self.lease_ttl_s if extend
+                                             else 0.0)
         try:
             _write_json_atomic(self.lease_path(key), current, fsync=False)
         except OSError:
@@ -426,14 +396,13 @@ class LeaseTable:
         unlinks the lease, making the point claimable again.
         """
         now = time.time() if now is None else now
-        ttl = float(self.settings.get("lease_ttl_s", 10.0))
         reclaimed = []
         for entry in self.lease_files():
             key = entry.name[:-len(".json")]
             lease = read_json(entry.path)
             if lease is None:
                 try:
-                    if (entry.stat().st_mtime + ttl > now
+                    if (entry.stat().st_mtime + self.lease_ttl_s > now
                             and key not in finished):
                         continue  # probably mid-write: give it a grace ttl
                 except OSError:
@@ -504,7 +473,7 @@ class QueueLog:
     ignored (their completions are collected in ``foreign``).
     """
 
-    def __init__(self, keys=None, quarantine_after: int = 3):
+    def __init__(self, keys=None, quarantine_after: int = QUARANTINE_AFTER):
         self.keys = None if keys is None else frozenset(keys)
         self.quarantine_after = int(quarantine_after)
         self.offset = 0
@@ -522,7 +491,8 @@ class QueueLog:
     def of(cls, table: LeaseTable) -> "QueueLog":
         """An empty fold over ``table``'s seeded keys and threshold."""
         meta = table.meta if table.meta is not None else table.load()
-        return cls(meta["keys"], table.settings.get("quarantine_after") or 3)
+        return cls(meta["keys"],
+                   table.settings.get("quarantine_after") or QUARANTINE_AFTER)
 
     def read(self, table: LeaseTable) -> list[tuple[dict, str | None]]:
         """Fold every event appended since the last read; returns each
@@ -604,15 +574,6 @@ class QueueLog:
 # ----------------------------------------------------------------------
 # worker
 # ----------------------------------------------------------------------
-def _arm_kill9(chaos: ChaosPlan) -> None:
-    """Chaos: schedule this worker's own SIGKILL (constant churn)."""
-    delay = chaos.num(0, 0.5) + chaos.num(1, 0.5) * random.random()
-    timer = threading.Timer(
-        delay, lambda: os.kill(os.getpid(), signal.SIGKILL))
-    timer.daemon = True
-    timer.start()
-
-
 class _Heartbeat:
     """Background lease renewal while a point simulates.
 
@@ -641,17 +602,6 @@ class _Heartbeat:
         self._stop.set()
 
 
-def _torn_write(cache: ResultCache, key: str) -> None:
-    """Chaos: emulate a pre-atomic writer dying mid-write, then die."""
-    if cache.directory is None:
-        os.kill(os.getpid(), signal.SIGKILL)
-    path = os.path.join(cache.directory, f"{key}.pkl")
-    with open(path, "wb") as handle:
-        handle.write(pickle.dumps({"torn": True})[:7])  # truncated pickle
-        handle.flush()
-    os.kill(os.getpid(), signal.SIGKILL)
-
-
 def worker_main(queue_dir: str, worker_id: str | None = None,
                 poll_s: float = POLL_S, wait_s: float = 10.0,
                 log=None, generation: int = 0) -> int:
@@ -665,10 +615,16 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
     When the queue settings carry a ``sample_interval`` (the sweep is
     instrumented), each attempt's telemetry payload is left for the
     coordinator to absorb.  Exits 0 once the queue is drained / shut
-    down, 2 when no queue appears.  SIGINT/SIGTERM drain gracefully: the
-    in-flight point is finished and recorded before exiting.
+    down, 2 when no queue appears or ``REPRO_SWEEP_CHAOS`` holds a
+    malformed recipe.  SIGINT/SIGTERM drain gracefully: the in-flight
+    point is finished and recorded before exiting.
     """
     emit = (log or print)
+    try:
+        chaos = ChaosPlan.from_env()
+    except ValueError as err:
+        emit(f"worker: {err}")
+        return 2
     table = LeaseTable(queue_dir)
     deadline = time.monotonic() + wait_s
     while True:
@@ -683,10 +639,6 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
             time.sleep(min(0.1, poll_s))
     worker = worker_id or f"w{os.getpid()}"
     cache = ResultCache(directory=meta["results_dir"])
-    chaos = ChaosPlan.from_env()
-    if chaos is not None and chaos.mode == "kill9":
-        _arm_kill9(chaos)
-    ttl = float(table.settings.get("lease_ttl_s", 10.0))
 
     stop = threading.Event()
 
@@ -732,7 +684,10 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
         if not log.is_open(claimed["key"]):
             table.release(claimed["key"], worker, claimed["nonce"])
             continue
-        completed += _run_point(table, cache, specs, claimed, chaos, ttl)
+        # our claim is the point's latest in the log, so the log numbers
+        # the attempt even when the read before the claim was stale
+        claimed["attempt"] = log.attempts[claimed["key"]]
+        completed += _run_point(table, cache, specs, claimed, chaos)
     for signum, handler in restore.items():
         signal.signal(signum, handler)
     reason = ("signal" if stop.is_set()
@@ -744,69 +699,74 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
 
 
 def _run_point(table: LeaseTable, cache: ResultCache, specs: dict,
-               lease: dict, chaos: ChaosPlan | None, ttl: float) -> int:
+               lease: dict, chaos: ChaosPlan | None) -> int:
     """Execute one leased point end to end; returns 1 on a ``done``."""
     key, worker, attempt = lease["key"], lease["worker"], lease["attempt"]
     nonce = lease["nonce"]
     shard = table.shard(key)
+    fault = None if chaos is None else chaos.fault(key, attempt)
+    if fault == "kill9-claimed":  # the lease expires, the point is re-let
+        os.kill(os.getpid(), signal.SIGKILL)
 
-    # stall-heartbeat chaos: no renewals + a stall longer than the ttl,
-    # so the lease expires mid-flight and the worker must find itself
-    # fenced out instead of double-reporting.
-    if (chaos is not None and chaos.mode == "stall-heartbeat"
-            and chaos_coin(key, attempt) < chaos.num(0, 1.0)):
-        time.sleep(chaos.num(1, 2.5 * ttl))
-        current = table.read_lease(key)
-        if (not current or current.get("nonce") != nonce):
-            table.append({"ev": "abandon", "key": key, "worker": worker,
-                          "attempt": attempt, "reason": "fenced"})
-            return 0
-        # lease survived (nobody reclaimed yet): carry on normally
+    if fault == "stall-heartbeat":
+        # let the lease lapse now and wait for the coordinator to re-let
+        # the point: a fenced-out worker must not double-report
+        table.heartbeat(key, worker, nonce, extend=False)
+        give_up = time.monotonic() + 2.5 * table.lease_ttl_s
+        while True:
+            current = table.read_lease(key)
+            if not current or current.get("nonce") != nonce:
+                table.append({"ev": "abandon", "key": key, "worker": worker,
+                              "attempt": attempt, "reason": "fenced"})
+                return 0
+            if time.monotonic() >= give_up:
+                break  # no coordinator reclaimed the lease: carry on
+            time.sleep(POLL_S)
 
-    heartbeat = _Heartbeat(table, lease, ttl / 3.0)  # three renewals a ttl
+    heartbeat = _Heartbeat(table, lease, table.lease_ttl_s / 3)  # 3 a ttl
     heartbeat.start()
     try:
         # a prior holder may have written the result and died before its
         # `done` event: recover the orphaned result instead of re-running
-        orphan = cache.get(key)
-        if orphan is not None:
+        if cache.get(key) is not None:
             # cache-hit provenance: the result pre-existed (an orphaned
             # write, or a shared cache warmed by another sweep)
-            table.append({"ev": "done", "key": key, "worker": worker,
-                          "attempt": attempt, "elapsed": 0.0,
-                          "recovered": True, "cached": True,
-                          "shard": shard})
-            return 1
-        if chaos is not None and chaos.mode == "slow":
-            if chaos_coin(key, attempt) < chaos.num(0, 1.0):
-                time.sleep(chaos.num(1, 0.75))
-        if chaos is not None and chaos.mode == "torn-write":
-            if chaos_coin(key, attempt) < chaos.num(0, 1.0):
-                _torn_write(cache, key)  # does not return
-        interval = table.settings.get("sample_interval")
-        context = None if interval is None else TelemetryContext(
-            sample_interval=interval, id_prefix=f"{key[:12]}.{nonce}.")
-        status = _simulate_guarded(specs[key], context)
-        if status[-1] is not None:  # the attempt's spans and metrics
-            write_atomic(table.payload_path(key, nonce),
-                         pickle.dumps(status[-1]), fsync=False)
-        if status[0] == "ok":
+            done = {"elapsed": 0.0, "recovered": True, "cached": True}
+        else:
+            if fault == "slow":
+                time.sleep(chaos.seconds)
+            if fault == "torn-write":  # a pre-atomic writer dying mid-write
+                with open(os.path.join(cache.directory, f"{key}.pkl"), "wb") as out:
+                    out.write(pickle.dumps({"torn": True})[:7])  # truncated
+                os.kill(os.getpid(), signal.SIGKILL)
+            interval = table.settings.get("sample_interval")
+            context = None if interval is None else TelemetryContext(
+                sample_interval=interval, id_prefix=f"{key[:12]}.{nonce}.")
+            status = _simulate_guarded(specs[key], context, chaos, attempt)
+            if status[-1] is not None:  # the attempt's spans and metrics
+                write_atomic(table.payload_path(key, nonce),
+                             pickle.dumps(status[-1]), fsync=False)
+            if status[0] != "ok":
+                _, message, traceback_text, _elapsed, _payload = status
+                table.append({"ev": "error", "key": key, "worker": worker,
+                              "attempt": attempt, "nonce": nonce,
+                              "error": message, "tb": traceback_text,
+                              "shard": shard})
+                return 0
             _, result, elapsed, _payload = status
             if table.settings.get("durable", True):
                 cache.put(key, result)  # crash-atomic: whole entry or nothing
             else:  # a private queue's own results: atomic, never fsync'd
                 write_atomic(os.path.join(cache.directory, f"{key}.pkl"),
                              pickle.dumps(result), fsync=False)
-            table.append({"ev": "done", "key": key, "worker": worker,
-                          "attempt": attempt, "nonce": nonce,
-                          "elapsed": round(elapsed, 6),
-                          "shard": shard})
-            return 1
-        _, message, traceback_text, _elapsed, _payload = status
-        table.append({"ev": "error", "key": key, "worker": worker,
-                      "attempt": attempt, "nonce": nonce, "error": message,
-                      "tb": traceback_text, "shard": shard})
-        return 0
+            done = {"nonce": nonce, "elapsed": round(elapsed, 6)}
+        if fault == "kill9-published":  # the next attempt recovers it
+            os.kill(os.getpid(), signal.SIGKILL)
+        table.append({"ev": "done", "key": key, "worker": worker,
+                      "attempt": attempt, **done, "shard": shard})
+        if fault == "kill9-done":  # a lease left on a closed point
+            os.kill(os.getpid(), signal.SIGKILL)
+        return 1
     finally:
         heartbeat.stop()
         table.release(key, worker, nonce)
@@ -950,9 +910,22 @@ class FabricCoordinator:
             info["proc"].join()
             info["timed_out"] = lease.get("nonce")
 
-    @staticmethod
-    def _stop_workers(workers: list) -> None:
-        """Drain every live local worker (SIGTERM); SIGKILL stragglers."""
+    def _reap(self, table: LeaseTable, info: dict, spared=(0,)) -> bool:
+        """Reap an exited local worker (False while it runs); an exit code
+        outside ``spared`` is a death, whose leases expire at once."""
+        code = info["proc"].exitcode
+        if code is None:
+            return False
+        info["proc"].close()
+        if code not in spared:
+            self.stats.worker_deaths += 1
+            self._count("fabric_worker_deaths_total")
+            table.reclaim_worker(info["id"], info["timed_out"])
+        return True
+
+    def _stop_workers(self, table: LeaseTable, workers: list) -> None:
+        """Drain every live local worker (SIGTERM), SIGKILL stragglers and
+        reap the rest: one that died after the last point closed counts."""
         for info in workers:
             if info["proc"].exitcode is None:
                 info["proc"].terminate()
@@ -963,7 +936,9 @@ class FabricCoordinator:
             if proc.exitcode is None:
                 proc.kill()
                 proc.join()
-            proc.close()
+                proc.close()
+            else:
+                self._reap(table, info, spared=(0, -signal.SIGTERM))
 
     def _payload(self, table: LeaseTable, event: dict):
         """Take the telemetry payload a ``done``/``error`` attempt left
@@ -1073,16 +1048,9 @@ class FabricCoordinator:
                 # reap local workers; fast-reclaim their leases; respawn
                 alive = []
                 for info in workers:
-                    code = info["proc"].exitcode
-                    if code is None:
+                    if not self._reap(table, info):
                         alive.append(info)
-                        continue
-                    info["proc"].close()
-                    if code != 0:
-                        self.stats.worker_deaths += 1
-                        self._count("fabric_worker_deaths_total")
-                        table.reclaim_worker(info["id"], info["timed_out"])
-                    if not draining and open_keys and not stop.is_set():
+                    elif not draining and open_keys and not stop.is_set():
                         alive.append(self._spawn_worker(
                             info["slot"], info["generation"] + 1))
                 workers = alive
@@ -1109,7 +1077,8 @@ class FabricCoordinator:
                 time.sleep(POLL_S)
             harvest()  # completions that landed while we were leaving
         finally:
-            self._stop_workers(workers)
+            self._stop_workers(table, workers)
+            log.read(table)  # the expiries of workers reaped there too
             self._tally(log)
         return self.stats
 

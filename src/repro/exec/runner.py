@@ -34,6 +34,7 @@ the unfinished points.
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import os
 import shutil
@@ -51,45 +52,78 @@ from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry import Telemetry, TelemetryContext
 from repro.telemetry import active as _active_telemetry
 from repro.telemetry.ledger import Ledger, RunRecord, result_headline
-from repro.util.durable import create_exclusive
 
 #: Environment hook for fault-injecting the harness itself (CI smoke tests
-#: and the runner's own test suite).  Recipes, applied per point with a
-#: deterministic coin derived from the spec's content hash:
-#:
-#:   ``raise[:RATE]``               -- raise inside the worker
-#:   ``exit[:RATE]``                -- kill the worker process (os._exit)
-#:   ``hang[:RATE[:SECONDS]]``      -- sleep, triggering the point timeout
-#:   ``exit-once:RATE:DIR``         -- kill the worker the *first* time each
-#:                                     point runs (marker files in DIR), so
-#:                                     a retry succeeds
+#: and the test suite): ``MODE[:RATE]``, where ``hang`` and ``slow`` also
+#: take ``:SECONDS``.  Each fault is a pure function of the point and its
+#: attempt number (:meth:`ChaosPlan.fault`; docs/robustness.md has them).
 CHAOS_ENV = "REPRO_SWEEP_CHAOS"
 
-
-def _maybe_inject_chaos(spec: SimulationSpec) -> None:
-    recipe = os.environ.get(CHAOS_ENV)
-    if not recipe:
-        return
-    parts = recipe.split(":")
-    mode = parts[0]
-    rate = float(parts[1]) if len(parts) > 1 else 1.0
-    coin = int(spec.cache_key()[:8], 16) / float(0xFFFFFFFF)
-    if coin >= rate:
-        return
-    if mode == "raise":
-        raise RuntimeError("chaos: injected simulation fault")
-    if mode == "hang":
-        time.sleep(float(parts[2]) if len(parts) > 2 else 3600.0)
-    elif mode == "exit":
-        os._exit(17)
-    elif mode == "exit-once":
-        marker = os.path.join(parts[2], spec.cache_key()[:16] + ".chaos")
-        if not create_exclusive(marker, b""):
-            return  # this point already crashed once: let the retry succeed
-        os._exit(17)
+#: Every chaos mode and its SECONDS default (None: it takes only RATE).
+_CHAOS_MODES = {"raise": None, "exit": None, "hang": 3600.0, "exit-once": None,
+                "kill9": None, "stall-heartbeat": None, "torn-write": None,
+                "slow": 0.75}
 
 
-def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = None):
+def chaos_coin(key: str, attempt: int) -> float:
+    """Deterministic uniform coin for one (point, attempt) pair."""
+    digest = hashlib.sha256(f"{key}#{attempt}".encode("utf-8")).hexdigest()
+    return int(digest[:8], 16) / float(0xFFFFFFFF)
+
+
+@dataclass(frozen=True)
+class ChaosPlan:
+    """A parsed ``REPRO_SWEEP_CHAOS`` recipe."""
+
+    mode: str
+    rate: float = 1.0
+    seconds: float | None = None
+
+    @classmethod
+    def from_env(cls) -> "ChaosPlan | None":
+        """The recipe in ``REPRO_SWEEP_CHAOS`` (None when unset); raises
+        :class:`ValueError` on one that does not fit its mode."""
+        recipe = os.environ.get(CHAOS_ENV, "").strip()
+        if not recipe:
+            return None
+        mode, *args = recipe.split(":")
+        seconds = _CHAOS_MODES.get(mode)
+        try:
+            if mode not in _CHAOS_MODES or len(args) > 1 + (seconds is not None):
+                raise ValueError(recipe)
+            plan = cls(mode, float(args[0]) if args else 1.0,
+                       float(args[1]) if args[1:] else seconds)
+            if not (0.0 <= plan.rate <= 1.0 and (plan.seconds or 0.0) >= 0.0):
+                raise ValueError(recipe)
+        except ValueError:
+            raise ValueError(
+                f"invalid {CHAOS_ENV} recipe {recipe!r}: expected MODE[:RATE] "
+                f"or hang/slow[:RATE[:SECONDS]], RATE in [0, 1], MODE one of "
+                f"{', '.join(_CHAOS_MODES)}") from None
+        return plan
+
+    def fault(self, key: str, attempt: int) -> str | None:
+        """What this recipe does to attempt ``attempt`` (from 1) at point
+        ``key``: its mode, or None when the coin spares the attempt.  The
+        simulation-guard modes draw the point's coin (``exit-once`` spares
+        all but attempt 1).  kill9 names where it kills, picked from the
+        same coin: after the claim, after publishing, or after ``done``."""
+        if self.mode not in ("raise", "exit", "hang", "exit-once"):
+            coin = chaos_coin(key, attempt)
+        elif self.mode != "exit-once" or attempt == 1:
+            coin = int(key[:8], 16) / float(0xFFFFFFFF)
+        else:
+            return None
+        if coin >= self.rate:
+            return None
+        if self.mode == "kill9":
+            return ("kill9-claimed", "kill9-published",
+                    "kill9-done")[min(2, int(3 * coin / self.rate))]
+        return self.mode
+
+
+def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = None,
+                      chaos: ChaosPlan | None = None, attempt: int = 1):
     """Worker entry point: run one spec, never let an exception escape.
 
     Returns ``("ok", result, seconds, payload)`` or ``("err", message,
@@ -97,12 +131,19 @@ def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = N
     retry or a :class:`FailedPoint` with the worker-side traceback attached.
     ``payload`` is the worker's drained :meth:`Telemetry.payload` (its spans
     and metrics, shipped back for the parent to absorb), or ``None`` when
-    the sweep runs uninstrumented.
+    the sweep runs uninstrumented.  ``chaos`` may fault attempt ``attempt``.
     """
     tel = Telemetry.from_context(tel_ctx)
     start = time.perf_counter()
     try:
-        _maybe_inject_chaos(spec)
+        if chaos is not None:
+            fault = chaos.fault(spec.cache_key(), attempt)
+            if fault == "raise":
+                raise RuntimeError("chaos: injected simulation fault")
+            if fault == "hang":
+                time.sleep(chaos.seconds)
+            elif fault in ("exit", "exit-once"):
+                os._exit(17)
         result = simulate(spec, telemetry=tel)
     except Exception as exc:
         elapsed = time.perf_counter() - start
@@ -390,6 +431,8 @@ class SweepRunner:
         """Run every spec, returning surviving points in input order."""
         start = time.perf_counter()
         cpu_start = time.process_time()
+        # a malformed chaos recipe is refused before any point is dispatched
+        chaos = ChaosPlan.from_env()
         self._stop.clear()
         specs = list(specs)
         total = len(specs)
@@ -542,7 +585,7 @@ class SweepRunner:
                                             attempt_failed, tel, fingerprint)
         else:
             self._run_serial(unique, complete, fail, worker_ctx,
-                             absorb, attempt_failed)
+                             absorb, attempt_failed, chaos)
 
         interrupted = self._stop.is_set() and done < total
         if interrupted:
@@ -662,7 +705,7 @@ class SweepRunner:
                 shutil.rmtree(private, ignore_errors=True)
 
     def _run_serial(self, unique, complete, fail, worker_ctx,
-                    absorb, attempt_failed) -> None:
+                    absorb, attempt_failed, chaos) -> None:
         # in-process execution cannot preempt a hung simulation, so
         # point_timeout is not enforced here; exceptions are still
         # isolated and retried per point, at once (a point is
@@ -673,7 +716,8 @@ class SweepRunner:
             attempts = 0
             while True:
                 attempts += 1
-                status = _simulate_guarded(spec, worker_ctx(key, attempts))
+                status = _simulate_guarded(spec, worker_ctx(key, attempts),
+                                           chaos, attempts)
                 if status[0] == "ok":
                     complete(key, status[1], status[2], status[3])
                     break

@@ -312,17 +312,18 @@ class LiveAggregator:
     """
 
     def __init__(self, *, total: int = 0, keys: tuple[str, ...] = (),
-                 shards: int = 0, lease_ttl_s: float = 10.0,
+                 shards: int = 0, lease_ttl_s: float | None = None,
                  window_s: float = 30.0, queue_dir: str | None = None,
                  log=None):
+        # lazy: avoid exec<->telemetry cycle
+        from repro.exec.fabric import LEASE_TTL_S, QueueLog
         if log is None:
-            from repro.exec.fabric import QueueLog  # lazy: avoid exec<->telemetry cycle
             log = QueueLog(keys or None)
         self.log = log
         self.queue_dir = queue_dir
         self.total = int(total)
         self.shards = int(shards)
-        self.lease_ttl_s = float(lease_ttl_s)
+        self.lease_ttl_s = float(lease_ttl_s or LEASE_TTL_S)
         self.window_s = float(window_s)
         self._shard_totals: dict[int, int] = {}
         for key in keys:
@@ -503,7 +504,7 @@ class QueueWatcher:
             total=int(meta.get("total") or 0),
             keys=tuple(meta.get("keys", ())),
             shards=int(settings.get("shards") or 0),
-            lease_ttl_s=float(settings.get("lease_ttl_s") or 10.0),
+            lease_ttl_s=self.table.lease_ttl_s,
             window_s=self.window_s,
             queue_dir=str(self.table.directory),
             log=QueueLog.of(self.table),

@@ -71,6 +71,27 @@ def seeded_table(tmp_path, specs=None, ttl=5.0) -> LeaseTable:
     return table
 
 
+def struck_attempts(specs, plan):
+    """``(key, attempt, fault)`` for every attempt ``plan`` strikes: a
+    point's attempts are struck until its coin first spares one, or until
+    a kill after its ``done`` closes it."""
+    struck = []
+    for spec in specs:
+        key, attempt = spec.cache_key(), 1
+        while (fault := plan.fault(key, attempt)) is not None:
+            struck.append((key, attempt, fault))
+            if fault == "kill9-done":
+                break
+            attempt += 1
+    return struck
+
+
+def point_trail(events, key, kinds=("claim", "done", "expired")):
+    """One point's events of the given kinds, in log order."""
+    return [event for event in events
+            if event.get("key") == key and event["ev"] in kinds]
+
+
 def run_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + (
@@ -170,11 +191,72 @@ class TestChaos:
     def test_plan_parsing(self, monkeypatch):
         monkeypatch.delenv("REPRO_SWEEP_CHAOS", raising=False)
         assert ChaosPlan.from_env() is None
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.3:0.5")
-        plan = ChaosPlan.from_env()
-        assert plan.mode == "kill9"
-        assert plan.num(0, 9.0) == 0.3 and plan.num(1, 9.0) == 0.5
-        assert plan.num(2, 7.0) == 7.0  # absent arg: default
+        for recipe, plan in [
+            ("kill9:0.3", ChaosPlan("kill9", 0.3)),
+            ("raise", ChaosPlan("raise", 1.0)),
+            (" exit-once:0.99 ", ChaosPlan("exit-once", 0.99)),
+            ("stall-heartbeat:0.6", ChaosPlan("stall-heartbeat", 0.6)),
+            ("hang:0.5:60", ChaosPlan("hang", 0.5, 60.0)),
+            ("hang", ChaosPlan("hang", 1.0, 3600.0)),
+            ("slow:1", ChaosPlan("slow", 1.0, 0.75)),
+        ]:
+            monkeypatch.setenv("REPRO_SWEEP_CHAOS", recipe)
+            assert ChaosPlan.from_env() == plan, recipe
+
+    def test_faults_are_pure_functions_of_point_and_attempt(self):
+        keys = [spec.cache_key() for spec in grid(levels=(2, 4, 8, 16),
+                                                  rates=(0.1, 0.2, 0.3))]
+        for key in keys:
+            point_coin = int(key[:8], 16) / float(0xFFFFFFFF)
+            for attempt in (1, 2, 3):
+                coin = chaos_coin(key, attempt)
+                # the simulation-guard modes pick points, exit-once only
+                # on their first attempt
+                assert ChaosPlan("raise", 0.5).fault(key, attempt) == (
+                    "raise" if point_coin < 0.5 else None)
+                assert ChaosPlan("exit-once", 0.5).fault(key, attempt) == (
+                    "exit-once" if point_coin < 0.5 and attempt == 1
+                    else None)
+                # the fabric's modes pick attempts; kill9 dies at the step
+                # the coin's third of [0, RATE) names
+                assert ChaosPlan("torn-write", 0.5).fault(key, attempt) == (
+                    "torn-write" if coin < 0.5 else None)
+                step = ChaosPlan("kill9", 0.6).fault(key, attempt)
+                assert step == (None if coin >= 0.6 else
+                                "kill9-claimed" if coin < 0.2 else
+                                "kill9-published" if coin < 0.4 else
+                                "kill9-done")
+
+    @pytest.mark.parametrize("recipe", [
+        "kill9:0.2:0.2", "exit-once:0.5:DIR", "stall-heartbeat:0.6:3.0",
+        "torn-write:0.5:1", "raise:1.5", "raise:", "slow:0.5:-1",
+        "kill-9:0.5"])
+    def test_malformed_recipe_refused_before_dispatch(self, recipe, tmp_path,
+                                                      monkeypatch, capsys):
+        # the first three are the old forms: a recipe is never
+        # reinterpreted, whoever reads it
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", recipe)
+        with pytest.raises(ValueError, match="invalid REPRO_SWEEP_CHAOS"):
+            ChaosPlan.from_env()
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2)
+        runner = SweepRunner(workers=2, fabric=config, cache=ResultCache(
+            directory=str(tmp_path / "c")))
+        with pytest.raises(ValueError, match="invalid REPRO_SWEEP_CHAOS"):
+            runner.run(grid())
+        # nothing was dispatched: no queue, no checkpoint, no ledger record
+        assert not (tmp_path / "q").exists()
+        assert not (tmp_path / "c").exists() or not os.listdir(tmp_path / "c")
+        assert not (tmp_path / "ledger").exists()
+        assert main(["sweep", "--levels", "2", "--rates", "0.1", "0.2",
+                     "--workers", "2", "--backend", "vectorized",
+                     "--fabric", str(tmp_path / "q")]) == 2
+        assert main(["worker", "--queue", str(tmp_path / "q"),
+                     "--wait", "0"]) == 2
+        out = capsys.readouterr().out
+        assert out.count(f"invalid REPRO_SWEEP_CHAOS recipe {recipe!r}") == 2
+        assert not (tmp_path / "q").exists()
 
 
 class TestConfigValidation:
@@ -300,15 +382,16 @@ class TestFabricSweep:
         assert "2 failed attempt(s) on 1 distinct worker(s)" in failure.error
 
     def test_survives_kill9_worker_churn(self, tmp_path, monkeypatch):
-        # workers SIGKILL themselves 0.08-0.15s after starting: past the
-        # slowest point run alone (about 0.08s on the reference backend),
-        # short of the quickest whole sweep (about 0.15s), so deaths land
-        # mid-lease on every run and the sweep must still complete every
-        # point exactly once
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.08:0.07")
+        # a worker SIGKILLs itself on every attempt whose coin is below
+        # the rate, at the step the coin picks; the sweep must still
+        # complete every point exactly once, with exactly those deaths
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "kill9:0.5")
         specs = grid(levels=(2, 4, 8), rates=(0.1, 0.3),
                      backend="reference", warmup_cycles=200,
                      measure_cycles=800, drain_cycles=1500)
+        deaths = struck_attempts(specs, ChaosPlan("kill9", 0.5))
+        assert {fault for *_, fault in deaths} == {
+            "kill9-claimed", "kill9-published", "kill9-done"}
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=3,
                               lease_ttl_s=3.0, quarantine_after=100)
         cache = ResultCache(directory=str(tmp_path / "c"))
@@ -317,10 +400,11 @@ class TestFabricSweep:
         assert report.total_points == len(specs)
         assert len(report.points) + len(report.failures) == len(specs)
         assert report.fabric.workers_spawned >= 3
-        assert report.fabric.worker_deaths >= 1
+        assert report.fabric.worker_deaths == len(deaths)
         audit = audit_queue(tmp_path / "q")
         assert audit.ok, audit.summary()
         assert audit.done == len(specs)
+        assert audit.expired == len(deaths)  # one lease per death
 
     def test_external_worker_joins_and_drains(self, tmp_path):
         # coordinator with zero local workers: only an externally spawned
@@ -399,15 +483,16 @@ class TestChaosModes:
                              cache=ResultCache(directory=str(tmp_path / "c"))
                              ).run(specs)
         assert report.ok, report.summary()
-        assert report.fabric.worker_deaths >= 1
+        assert report.fabric.worker_deaths == len(
+            struck_attempts(specs, ChaosPlan("torn-write", 0.5)))
         audit = audit_queue(tmp_path / "q")
         assert audit.ok, audit.summary()
 
     def test_stall_heartbeat_expires_and_relets(self, tmp_path, monkeypatch):
-        # a stalled worker stops heartbeating: its lease must expire, the
+        # a stalled worker lets its lease lapse: the lease must expire, the
         # point must be re-leased elsewhere, and the staller must fence
         # itself out instead of double-reporting
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6:3.0")
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6")
         specs = grid()
         stalled = [s.cache_key() for s in specs
                    if chaos_coin(s.cache_key(), 1) < 0.6]
@@ -420,6 +505,14 @@ class TestChaosModes:
         audit = audit_queue(tmp_path / "q")
         assert audit.ok, audit.summary()
         assert audit.expired >= 1
+        # one expiry and one `abandon` per attempt the coin picks, and no
+        # worker dies
+        stalls = struck_attempts(specs, ChaosPlan("stall-heartbeat", 0.6))
+        events, _ = LeaseTable(tmp_path / "q").read_events()
+        assert sorted(e["key"] for e in events if e["ev"] == "expired") == \
+            sorted(e["key"] for e in events if e["ev"] == "abandon") == \
+            sorted(key for key, _, _ in stalls)
+        assert report.fabric.worker_deaths == 0
 
     def test_slow_worker_heartbeat_keeps_lease(self, tmp_path, monkeypatch):
         # a slow-but-alive worker sleeps well past the lease ttl while
@@ -432,6 +525,67 @@ class TestChaosModes:
         assert report.ok, report.summary()
         assert report.fabric.expired == 0
         assert audit_queue(tmp_path / "q").ok
+
+
+class TestKill9Steps:
+    """``kill9:RATE`` kills a struck attempt at the step its coin picks."""
+
+    RATE = 0.6
+
+    def churn(self, tmp_path, monkeypatch, step):
+        """Sweep the grid under ``kill9:RATE``; returns the report, the
+        event log and the (key, attempt) pairs killed at ``step``."""
+        specs = grid()
+        killed = [(key, attempt) for key, attempt, fault
+                  in struck_attempts(specs, ChaosPlan("kill9", self.RATE))
+                  if fault == step]
+        assert killed, f"grid must contain a {step} victim"
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", f"kill9:{self.RATE}")
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
+                              lease_ttl_s=3.0, quarantine_after=100)
+        report = SweepRunner(workers=2, fabric=config, cache=ResultCache(
+            directory=str(tmp_path / "c"))).run(specs)
+        assert report.ok, report.summary()
+        assert audit_queue(tmp_path / "q").ok
+        events, _ = LeaseTable(tmp_path / "q").read_events()
+        return report, events, killed
+
+    def test_kill_after_claim_relets_the_point(self, tmp_path, monkeypatch):
+        _, events, killed = self.churn(tmp_path, monkeypatch,
+                                       "kill9-claimed")
+        for key, attempt in killed:
+            trail = point_trail(events, key)
+            claims = [i for i, e in enumerate(trail) if e["ev"] == "claim"]
+            claim = claims[attempt - 1]
+            dead = trail[claim]["worker"]
+            # the lease expires with its worker, then another takes it
+            assert (trail[claim + 1]["ev"], trail[claim + 1]["worker"]) == (
+                "expired", dead)
+            assert trail[claims[attempt]]["worker"] != dead
+
+    def test_kill_after_publish_leaves_a_result_to_recover(self, tmp_path,
+                                                           monkeypatch):
+        report, events, killed = self.churn(tmp_path, monkeypatch,
+                                            "kill9-published")
+        orphaned = {key for key, _ in killed}
+        assert report.fabric.recovered == len(orphaned) >= 1
+        for key in orphaned:
+            done = point_trail(events, key, ("done",))[0]
+            assert done.get("recovered") is True
+
+    def test_kill_after_done_leaves_a_lease_to_reclaim(self, tmp_path,
+                                                       monkeypatch):
+        _, events, killed = self.churn(tmp_path, monkeypatch, "kill9-done")
+        for key, _ in killed:
+            trail = point_trail(events, key, ("done", "expired"))
+            first = next(i for i, e in enumerate(trail) if e["ev"] == "done")
+            # the coordinator expires the dead worker's live lease on the
+            # closed point: no lease survives the sweep
+            assert {"ev": "expired", "worker": trail[first]["worker"]} in [
+                {"ev": e["ev"], "worker": e["worker"]}
+                for e in trail[first + 1:]]
+        audit = audit_queue(tmp_path / "q")
+        assert audit.ok and audit.active_leases == 0, audit.summary()
 
 
 class TestResumeAndDrain:
@@ -760,7 +914,7 @@ class TestFabricMetrics:
     def test_churn_counters_reach_registry(self, tmp_path, monkeypatch):
         from repro.telemetry import Telemetry
 
-        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6:3.0")
+        monkeypatch.setenv("REPRO_SWEEP_CHAOS", "stall-heartbeat:0.6")
         telemetry = Telemetry(sample_interval=0)
         specs = grid()
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,

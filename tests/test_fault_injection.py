@@ -9,6 +9,8 @@ from repro.config import NoCConfig
 from repro.core.sprinting import RetreatPolicy, SprintController, SprintMode
 from repro.core.topological import SprintTopology
 from repro.exec import FabricConfig, ResultCache, SweepRunner, audit_queue
+from repro.exec import runner as runner_mod
+from repro.exec.fabric import LeaseTable
 from repro.exec.runner import CHAOS_ENV
 from repro.noc.sim import simulate
 from repro.noc.spec import FaultEvent, FaultSchedule, SimulationSpec, TrafficSpec
@@ -267,9 +269,48 @@ class TestHarnessFailureIsolation:
     def test_crash_recovers_with_retry(self, monkeypatch, tmp_path):
         specs = self.make_specs()
         rate = chaos_rate_failing(specs, 2)
-        monkeypatch.setenv(CHAOS_ENV, f"exit-once:{rate}:{tmp_path}")
+        monkeypatch.setenv(CHAOS_ENV, f"exit-once:{rate}")
         report = SweepRunner(workers=2, max_retries=1).run(specs)
         assert report.ok and len(report.points) == 4
+
+    @pytest.mark.parametrize("fabric", [False, True],
+                             ids=["serial", "fabric"])
+    def test_exit_once_crashes_each_chosen_point_once(self, monkeypatch,
+                                                      tmp_path, fabric):
+        specs = self.make_specs()
+        rate = chaos_rate_failing(specs, 2)
+        chosen = sorted(s.cache_key() for s in specs
+                        if int(s.cache_key()[:8], 16) / 0xFFFFFFFF < rate)
+        monkeypatch.setenv(CHAOS_ENV, f"exit-once:{rate}")
+        if fabric:
+            config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=2,
+                                  quarantine_after=2)
+            report = SweepRunner(workers=2, fabric=config).run(specs)
+            assert report.fabric.worker_deaths == len(chosen)
+            events, _ = LeaseTable(tmp_path / "q").read_events()
+            crashed = sorted(e["key"] for e in events if e["ev"] == "expired")
+        else:
+            # in-process, the crash raises instead of ending the test run,
+            # and the guard reports it as the attempt's error
+            attempts = []
+            guarded = runner_mod._simulate_guarded
+
+            def spy(spec, tel_ctx, chaos, attempt):
+                status = guarded(spec, tel_ctx, chaos, attempt)
+                attempts.append((spec.cache_key(), attempt, status[0]))
+                return status
+
+            def crash(code):
+                raise RuntimeError(f"os._exit({code})")
+
+            monkeypatch.setattr(runner_mod, "_simulate_guarded", spy)
+            monkeypatch.setattr(runner_mod.os, "_exit", crash)
+            report = SweepRunner(workers=1, max_retries=1).run(specs)
+            crashed = sorted(key for key, attempt, status in attempts
+                             if status == "err" and attempt == 1)
+            assert [status for *_, status in attempts].count("err") == 2
+        assert report.ok and len(report.points) == 4
+        assert crashed == chosen
 
     @pytest.mark.parametrize("fabric", [False, True],
                              ids=["private-queue", "explicit-fabric"])
