@@ -70,7 +70,7 @@ def _grid():
                 warmup_cycles=200,
                 measure_cycles=800,
                 drain_cycles=1500,
-                backend="reference",  # points slow enough to watch mid-sweep
+                backend="reference",  # ~0.1 s points: simulation dominates
             ))
     return specs
 
