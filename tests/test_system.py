@@ -144,26 +144,3 @@ class TestEvaluate:
         row = system.evaluate("dedup", "noc_sprinting", thermal=True)
         assert row.peak_temperature_k == pytest.approx(343.81, abs=1.5)
 
-
-class TestDeprecatedDelegates:
-    """The per-axis one-number methods still work but warn once per call."""
-
-    def test_each_delegate_warns_and_matches_evaluate(self, system):
-        row = system.evaluate("dedup", "noc_sprinting")
-        with pytest.warns(DeprecationWarning, match="execution_time"):
-            assert system.execution_time("dedup", "noc_sprinting") == row.relative_time
-        with pytest.warns(DeprecationWarning, match="speedup"):
-            assert system.speedup("dedup", "noc_sprinting") == row.speedup
-        with pytest.warns(DeprecationWarning, match="core_power"):
-            assert system.core_power("dedup", "noc_sprinting") == row.core_power_w
-        with pytest.warns(DeprecationWarning, match="chip_power"):
-            assert system.chip_power("dedup", "noc_sprinting") == row.chip_power
-
-    def test_network_and_thermal_delegates_warn(self, system):
-        with pytest.warns(DeprecationWarning, match="evaluate_network"):
-            net = system.evaluate_network("dedup", "noc_sprinting",
-                                          warmup_cycles=100, measure_cycles=200)
-        assert net.sim.packets_measured >= 0
-        with pytest.warns(DeprecationWarning, match="peak_temperature"):
-            peak = system.peak_temperature("dedup", "noc_sprinting")
-        assert peak > 300.0
