@@ -1,14 +1,13 @@
 """Extension: telemetry overhead budget.
 
-The telemetry layer promises to be effectively free when off: instrumented
-code holds ``None`` or no-op singletons, so a sweep without ``--trace``
-must run at the speed it ran before instrumentation existed.  This bench
-measures one simulation three ways -- uninstrumented baseline, a
-*disabled* :class:`~repro.telemetry.Telemetry` bundle, and a fully
-*enabled* bundle with periodic sampling -- with interleaved min-of-N
-timing (the interleave cancels drift, the min discards scheduler noise),
-asserts the disabled overhead stays under the 2% budget, and writes the
-numbers to ``BENCH_telemetry.json`` for CI to archive."""
+Telemetry is off when the bundle is ``None`` (instrumented code skips
+every instrument), so an untraced run is the baseline here; perfbench's
+end-to-end bounds gate its speed.  This bench measures one simulation
+two ways -- the ``telemetry=None`` baseline and a
+:class:`~repro.telemetry.Telemetry` bundle with periodic sampling --
+with interleaved min-of-N timing (the interleave cancels drift, the min
+discards scheduler noise), asserts the traced overhead stays under 50%,
+and writes the numbers to ``BENCH_telemetry.json`` for CI to archive."""
 
 import json
 import time
@@ -24,7 +23,7 @@ from benchmarks.common import once, report
 
 ROUNDS = 7
 SAMPLE_INTERVAL = 200
-OVERHEAD_BUDGET_PCT = 2.0
+OVERHEAD_BUDGET_PCT = 50.0
 OUTPUT = "BENCH_telemetry.json"
 
 
@@ -44,7 +43,6 @@ def measure():
     spec = bench_spec()
     variants = {
         "baseline": lambda: None,
-        "disabled": Telemetry.disabled,
         "enabled": lambda: Telemetry(sample_interval=SAMPLE_INTERVAL),
     }
     for make in variants.values():  # warm every code path before timing
@@ -56,16 +54,11 @@ def measure():
             start = time.perf_counter()
             simulate(spec, telemetry=telemetry)
             best[name] = min(best[name], time.perf_counter() - start)
-    overhead = {
-        name: 100.0 * (best[name] - best["baseline"]) / best["baseline"]
-        for name in ("disabled", "enabled")
-    }
+    overhead = 100.0 * (best["enabled"] - best["baseline"]) / best["baseline"]
     payload = {
         "baseline_s": best["baseline"],
-        "disabled_s": best["disabled"],
         "enabled_s": best["enabled"],
-        "disabled_overhead_pct": overhead["disabled"],
-        "enabled_overhead_pct": overhead["enabled"],
+        "enabled_overhead_pct": overhead,
         "rounds": ROUNDS,
         "sample_interval_cycles": SAMPLE_INTERVAL,
         "budget_pct": OVERHEAD_BUDGET_PCT,
@@ -81,8 +74,6 @@ def test_extension_telemetry_overhead(benchmark):
         ["variant", "best of 7 (ms)", "overhead %"],
         [
             ["baseline (telemetry=None)", payload["baseline_s"] * 1e3, 0.0],
-            ["disabled bundle", payload["disabled_s"] * 1e3,
-             payload["disabled_overhead_pct"]],
             [f"enabled (sample every {SAMPLE_INTERVAL} cyc)",
              payload["enabled_s"] * 1e3, payload["enabled_overhead_pct"]],
         ],
@@ -91,9 +82,6 @@ def test_extension_telemetry_overhead(benchmark):
     report("Extension: telemetry overhead budget", body)
     print(f"    machine-readable copy: {OUTPUT}")
 
-    # the contract docs/observability.md quotes: disabled telemetry is
-    # inside the noise floor of an uninstrumented run
-    assert payload["disabled_overhead_pct"] < OVERHEAD_BUDGET_PCT
-    # enabled telemetry must stay usable too -- an order-of-magnitude
+    # enabled telemetry must stay usable -- an order-of-magnitude
     # slowdown would make --trace pointless on real sweeps
-    assert payload["enabled_overhead_pct"] < 50.0
+    assert payload["enabled_overhead_pct"] < OVERHEAD_BUDGET_PCT

@@ -22,7 +22,6 @@ from repro.core.topological import SprintTopology
 from repro.noc.power_gating import StaticGatingPlan, static_plan_for_topology
 from repro.power.chip_power import ChipPowerModel
 from repro.telemetry import Telemetry
-from repro.telemetry import active as _active_telemetry
 from repro.thermal.pcm import DEFAULT_PCM, PCMParams
 
 
@@ -177,7 +176,7 @@ class SprintController:
 
     def _emit(self, name: str, **attrs) -> None:
         """One controller transition: trace event + gauge refresh."""
-        tel = _active_telemetry(self.telemetry)
+        tel = self.telemetry
         if tel is None:
             return
         tel.tracer.event(name, **attrs)
@@ -266,7 +265,7 @@ class SprintController:
             return
         self.retreat_log.append((self._sprint_time_s, plan.level, level))
         self.plan_active = self._plan_for_level(level, self._profile_active)
-        tel = _active_telemetry(self.telemetry)
+        tel = self.telemetry
         if tel is not None:
             tel.metrics.counter(
                 "sprint_retreats_total",

@@ -6,7 +6,7 @@ reproduction needs more than end-of-run aggregates.  This zero-dependency
 package provides the three instruments the rest of the stack shares:
 
 - :class:`~repro.telemetry.metrics.MetricsRegistry` -- counters, gauges
-  and histograms with Prometheus text output; a true no-op when disabled;
+  and histograms with Prometheus text output;
 - :class:`~repro.telemetry.tracer.Tracer` -- span-based structured
   tracing to JSONL (span begin/end, wall+CPU time, parent ids), nesting
   from a whole sweep down to individual simulation phases;
@@ -21,10 +21,9 @@ runs, and returns :meth:`Telemetry.payload`; the parent calls
 :meth:`Telemetry.absorb` to graft the worker's spans under the point span
 and fold its metrics in.  Sharding work can reuse the same contract.
 
-Everything degrades to ~zero cost when off: instrumented code holds
-either ``None`` (skip entirely) or a disabled bundle whose instruments
-are shared no-op singletons -- no allocation on the hot path (guarded by
-``benchmarks/bench_extension_telemetry.py``).  See docs/observability.md.
+Telemetry is off when the bundle is ``None``: instrumented code tests
+for ``None`` and skips every instrument, so an untraced run pays one
+comparison per site.  See docs/observability.md.
 """
 
 from __future__ import annotations
@@ -32,14 +31,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.telemetry.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_INSTRUMENT,
-)
-from repro.telemetry.tracer import NULL_SPAN, Span, Tracer
+from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry.tracer import Span, Tracer
 from repro.util.lazy import lazy_exports
 
 #: public name -> the module it is imported from on first access
@@ -64,7 +57,6 @@ __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 class TelemetryContext:
     """The picklable recipe a worker process rebuilds its bundle from."""
 
-    enabled: bool = True
     sample_interval: int = 0
     id_prefix: str = ""
 
@@ -76,32 +68,20 @@ class Telemetry:
     (0 disables periodic sampling; spans and metrics still work).
     """
 
-    def __init__(self, enabled: bool = True, sample_interval: int = 0,
-                 id_prefix: str = ""):
+    def __init__(self, sample_interval: int = 0, id_prefix: str = ""):
         if sample_interval < 0:
             raise ValueError("sample_interval must be >= 0 cycles")
-        self.enabled = enabled
         self.sample_interval = sample_interval
-        self.metrics = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(enabled=enabled, id_prefix=id_prefix)
-
-    @classmethod
-    def disabled(cls) -> "Telemetry":
-        """A bundle whose instruments are all no-ops."""
-        return cls(enabled=False)
+        self.metrics = MetricsRegistry()
+        self.tracer = Tracer(id_prefix=id_prefix)
 
     # ------------------------------------------------------------------
     # cross-process aggregation
     # ------------------------------------------------------------------
-    def worker_context(self, id_prefix: str) -> TelemetryContext | None:
-        """The context to ship to a worker (None when disabled: workers
-        skip instrumentation entirely rather than carrying a dead bundle)."""
-        if not self.enabled:
-            return None
+    def worker_context(self, id_prefix: str) -> TelemetryContext:
+        """The context to ship to a worker."""
         return TelemetryContext(
-            enabled=True,
-            sample_interval=self.sample_interval,
-            id_prefix=id_prefix,
+            sample_interval=self.sample_interval, id_prefix=id_prefix
         )
 
     @classmethod
@@ -109,7 +89,6 @@ class Telemetry:
         if context is None:
             return None
         return cls(
-            enabled=context.enabled,
             sample_interval=context.sample_interval,
             id_prefix=context.id_prefix,
         )
@@ -144,14 +123,6 @@ class Telemetry:
             )
 
 
-def active(telemetry: "Telemetry | None") -> "Telemetry | None":
-    """Collapse ``None`` and disabled bundles to ``None`` -- the single
-    check instrumented code performs before touching telemetry."""
-    if telemetry is not None and telemetry.enabled:
-        return telemetry
-    return None
-
-
 __all__ = [
     "Comparison",
     "Counter",
@@ -163,8 +134,6 @@ __all__ = [
     "MetricPolicy",
     "MetricsRegistry",
     "MetricsServer",
-    "NULL_INSTRUMENT",
-    "NULL_SPAN",
     "ProgressLine",
     "QueueWatcher",
     "RateEstimator",
@@ -174,6 +143,5 @@ __all__ = [
     "Telemetry",
     "TelemetryContext",
     "Tracer",
-    "active",
     "compare_runs",
 ]

@@ -1,10 +1,8 @@
-"""Metrics registry: counters, gauges and histograms, no-op when disabled.
+"""Metrics registry: counters, gauges and histograms.
 
 One :class:`MetricsRegistry` per process (or per experiment) hands out
 instrument handles.  Callers hold the handle and update it on the hot
-path; a *disabled* registry hands out a single shared
-:data:`NULL_INSTRUMENT` whose methods do nothing and allocate nothing, so
-instrumented code pays one no-op method call when telemetry is off.
+path; code running without telemetry holds no registry at all.
 
 Registries are mergeable: :meth:`MetricsRegistry.snapshot` produces a
 plain picklable structure and :meth:`MetricsRegistry.merge` folds such a
@@ -23,29 +21,6 @@ DEFAULT_BUCKETS = (
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
     1.0, 2.5, 5.0, 10.0, 30.0,
 )
-
-
-class NullInstrument:
-    """The do-nothing instrument a disabled registry hands out.
-
-    A single shared instance answers every ``counter()``/``gauge()``/
-    ``histogram()`` call, so disabled-mode updates are one attribute
-    lookup plus an empty method call -- no branching, no allocation.
-    """
-
-    __slots__ = ()
-
-    def inc(self, amount=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def observe(self, value):
-        pass
-
-
-NULL_INSTRUMENT = NullInstrument()
 
 
 class Counter:
@@ -109,15 +84,12 @@ def _label_text(label_key: tuple) -> str:
 class MetricsRegistry:
     """A named collection of counters/gauges/histograms.
 
-    ``enabled=False`` turns every instrument request into the shared
-    :data:`NULL_INSTRUMENT`; nothing is recorded and snapshots are empty.
     Instrument handles are idempotent: asking twice for the same
     ``(name, labels)`` returns the same object, so hot loops can either
     cache the handle or re-request it.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
+    def __init__(self):
         # (name, label_key) -> instrument
         self._instruments: dict[tuple, object] = {}
         self._kinds: dict[str, str] = {}
@@ -125,8 +97,6 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, help: str, labels: dict, **kwargs):
-        if not self.enabled:
-            return NULL_INSTRUMENT
         known = self._kinds.get(name)
         if known is not None and known != cls.kind:
             raise ValueError(
@@ -218,9 +188,9 @@ class MetricsRegistry:
         """Fold a :meth:`snapshot` (e.g. from a worker process) into self.
 
         Counters and histograms accumulate; gauges take the incoming
-        value (last write wins).  A disabled registry ignores merges.
+        value (last write wins).
         """
-        if not self.enabled or not snapshot:
+        if not snapshot:
             return
         for name, help_text in snapshot.get("help", {}).items():
             self._help.setdefault(name, help_text)
@@ -293,6 +263,4 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_INSTRUMENT",
-    "NullInstrument",
 ]

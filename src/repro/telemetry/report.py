@@ -298,10 +298,10 @@ def render_metrics(snapshot: dict) -> str:
     summarized as p50/p95/p99 quantile estimates (with count and sum)
     instead of raw cumulative-bucket dumps.
     """
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     registry.merge(snapshot)
     merged = registry.snapshot()
-    scalars = MetricsRegistry(enabled=True)
+    scalars = MetricsRegistry()
     scalar_items, histogram_lines = [], []
     for name, label_key, kind, state in sorted(
         merged["metrics"], key=lambda item: (item[0], item[1])

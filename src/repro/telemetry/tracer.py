@@ -30,9 +30,6 @@ Cross-process aggregation: a worker runs its own tracer with a unique
 ``id_prefix``; the parent grafts the worker's drained events under the
 worker's point span (:meth:`Tracer.graft`), rewriting only the root
 parents.  Ids never collide because of the prefix.
-
-A disabled tracer hands out the shared :data:`NULL_SPAN` and records
-nothing; disabled-mode cost is one method call per span.
 """
 
 from __future__ import annotations
@@ -40,28 +37,6 @@ from __future__ import annotations
 import json
 import time
 from pathlib import Path
-
-
-class NullSpan:
-    """The do-nothing span a disabled tracer hands out (a singleton)."""
-
-    __slots__ = ()
-    id = None
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        return False
-
-    def annotate(self, **attrs):
-        pass
-
-    def end(self):
-        pass
-
-
-NULL_SPAN = NullSpan()
 
 
 class Span:
@@ -118,8 +93,7 @@ class Span:
 class Tracer:
     """Collects trace events; save as JSONL or drain for aggregation."""
 
-    def __init__(self, enabled: bool = True, id_prefix: str = ""):
-        self.enabled = enabled
+    def __init__(self, id_prefix: str = ""):
         self.events: list[dict] = []
         self._prefix = id_prefix
         self._serial = 0
@@ -134,11 +108,9 @@ class Tracer:
     def _implicit_parent(self) -> str | None:
         return self._stack[-1] if self._stack else None
 
-    def span(self, name: str, parent: str | None = None, **attrs):
+    def span(self, name: str, parent: str | None = None, **attrs) -> Span:
         """Open a span.  ``parent`` defaults to the innermost ``with``-entered
         span; pass an explicit id for concurrent (non-nested) spans."""
-        if not self.enabled:
-            return NULL_SPAN
         span_id = self._next_id()
         if parent is None:
             parent = self._implicit_parent()
@@ -155,8 +127,6 @@ class Tracer:
 
     def event(self, name: str, parent: str | None = None, **attrs) -> None:
         """Record an instant event under a span."""
-        if not self.enabled:
-            return
         self.events.append({
             "ev": "annot",
             "span": parent if parent is not None else self._implicit_parent(),
@@ -167,8 +137,6 @@ class Tracer:
 
     def sample(self, data: dict, parent: str | None = None) -> None:
         """Record one periodic sample under a span."""
-        if not self.enabled:
-            return
         self.events.append({
             "ev": "sample",
             "span": parent if parent is not None else self._implicit_parent(),
@@ -191,7 +159,7 @@ class Tracer:
         internal nesting is preserved.  The worker must have used a unique
         ``id_prefix`` so ids cannot collide with ours.
         """
-        if not self.enabled or not events:
+        if not events:
             return
         for event in events:
             if event.get("ev") == "begin" and event.get("parent") is None:
@@ -213,4 +181,4 @@ class Tracer:
         return len(self.events)
 
 
-__all__ = ["NULL_SPAN", "NullSpan", "Span", "Tracer"]
+__all__ = ["Span", "Tracer"]

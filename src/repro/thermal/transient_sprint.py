@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.telemetry import active as _active_telemetry
 from repro.thermal.grid import ThermalGrid
 from repro.thermal.pcm import DEFAULT_PCM, PCMParams
 
@@ -115,7 +114,6 @@ class SprintTransient:
         """
         if duration_s <= 0 or dt_s <= 0:
             raise ValueError("need positive duration and dt")
-        tel = _active_telemetry(telemetry)
         total_power = float(sum(tile_powers))
         # the spatial offset of the die's hotspot above the PCM/boundary
         # node is load-dependent but time-invariant (linear RC): solve once
@@ -126,11 +124,11 @@ class SprintTransient:
         )
 
         span = (
-            tel.tracer.span(
+            telemetry.tracer.span(
                 "thermal_sprint", staged=False,
                 power_w=round(total_power, 3), duration_s=duration_s,
             )
-            if tel is not None
+            if telemetry is not None
             else None
         )
         result = SprintTransientResult()
@@ -163,8 +161,8 @@ class SprintTransient:
                         phase=phase,
                     )
                 )
-                if tel is not None:
-                    _sample_pcm(tel, span.id, t, temperature,
+                if telemetry is not None:
+                    _sample_pcm(telemetry, span.id, t, temperature,
                                 melted_fraction, phase)
             if phase == "limit":
                 result.reached_limit_at_s = t
@@ -209,7 +207,6 @@ class SprintTransient:
             raise ValueError("need positive duration and dt")
         if not stage_tile_powers:
             raise ValueError("need at least one power stage")
-        tel = _active_telemetry(telemetry)
         params = self.grid.params
 
         def stage_state(tile_powers):
@@ -223,11 +220,11 @@ class SprintTransient:
         stage = 0
         total_power, hotspot_offset = stage_state(stage_tile_powers[0])
         span = (
-            tel.tracer.span(
+            telemetry.tracer.span(
                 "thermal_sprint", staged=True,
                 stages=len(stage_tile_powers), duration_s=duration_s,
             )
-            if tel is not None
+            if telemetry is not None
             else None
         )
         result = SprintTransientResult()
@@ -259,8 +256,8 @@ class SprintTransient:
                         phase=phase,
                     )
                 )
-                if tel is not None:
-                    _sample_pcm(tel, span.id, t, temperature,
+                if telemetry is not None:
+                    _sample_pcm(telemetry, span.id, t, temperature,
                                 melted_fraction, phase)
             if phase == "limit":
                 if stage + 1 < len(stage_tile_powers):
@@ -272,12 +269,12 @@ class SprintTransient:
                         stage_tile_powers[stage]
                     )
                     result.retreats.append((t, stage))
-                    if tel is not None:
-                        tel.metrics.counter(
+                    if telemetry is not None:
+                        telemetry.metrics.counter(
                             "thermal_retreats_total",
                             "Staged power retreats during transient sprints.",
                         ).inc()
-                        tel.tracer.event(
+                        telemetry.tracer.event(
                             "thermal_retreat", parent=span.id,
                             t=round(t, 6), stage=stage,
                             power_w=round(total_power, 3),
