@@ -308,11 +308,11 @@ class TestFabricSweep:
         assert SweepRunner(workers=2).run(specs).ok
         assert leftovers() == []
         runner = SweepRunner(workers=2)
-        runner.progress = lambda done, total, point: runner.request_stop()
+        runner.progress = lambda done, total, point, outcome: runner.request_stop()
         assert runner.run(specs).interrupted
         assert leftovers() == []
 
-        def explode(done, total, point):
+        def explode(done, total, point, outcome):
             raise RuntimeError("progress callback failed")
 
         with pytest.raises(RuntimeError, match="progress callback failed"):
@@ -742,7 +742,7 @@ class TestResumeAndDrain:
                 directory=str(tmp_path / "c")))
 
         first = runner()
-        first.progress = lambda done, total, point: first.request_stop()
+        first.progress = lambda done, total, point, outcome: first.request_stop()
         assert self.guarded_run(first, specs).interrupted
         report = self.guarded_run(runner(), specs)
         assert not report.interrupted, report.summary()
@@ -813,7 +813,7 @@ class TestResumeAndDrain:
         cache = ResultCache(directory=str(tmp_path / "c"))
         runner = SweepRunner(workers=1, cache=cache)
 
-        def stop_after_first(done, total, point):
+        def stop_after_first(done, total, point, outcome):
             runner.request_stop()
 
         runner.progress = stop_after_first

@@ -366,7 +366,7 @@ class TestHarnessFailureIsolation:
         seen = []
         runner = SweepRunner(
             cache=cache,
-            progress=lambda done, total, point: seen.append(
+            progress=lambda done, total, point, outcome: seen.append(
                 (done, total, point.cached)
             ),
         )
