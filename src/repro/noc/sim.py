@@ -191,31 +191,21 @@ def zero_load_latency(
     topology: SprintTopology,
     config: NoCConfig | None = None,
     routing: str = "cdor",
-    backend: str = "reference",
 ) -> float:
     """Analytic zero-load packet latency averaged over all endpoint pairs.
 
     Head latency is ``pipeline_stages`` cycles per hop plus the final
     ejection, and the tail trails the head by ``packet_length - 1`` cycles.
-    Used by the CMP performance model as its communication-cost proxy when
-    no cycle simulation is attached.
+    It is an analytic reference for simulated latency; no model in the
+    package calls it.
 
-    The O(n^2) pair walk is memoized per (backend, topology, config,
-    routing) in a process-wide :class:`~repro.exec.cache.ResultCache`:
-    callers in hot loops (the performance model evaluates this per workload
-    per scheme) pay for each distinct topology once.  The backend is part
-    of the memo key (with the default keeping its historical key) so a
-    backend with its own zero-load model can never serve, or be served,
-    another backend's entries.
+    The O(n^2) pair walk is memoized per (topology, config, routing) in a
+    process-wide :class:`~repro.exec.cache.ResultCache`, so repeated
+    calls pay for each distinct topology once.
     """
     cfg = config or NoCConfig()
     cache = zero_load_cache()
-    if backend == "reference":
-        # historical key shape: entries memoized before backends existed
-        # stay valid for the default engine
-        key = stable_key(("zero_load_latency", topology, cfg, routing))
-    else:
-        key = stable_key(("zero_load_latency", backend, topology, cfg, routing))
+    key = stable_key(("zero_load_latency", topology, cfg, routing))
     cached = cache.get(key)
     if cached is not None:
         return cached
