@@ -1088,7 +1088,7 @@ def _cmd_backends(args: argparse.Namespace) -> int:
     ))
     print("backend='auto' (spec, run_simulation, sweep --backend) picks the "
           "highest-ranked engine whose capabilities cover the run; see "
-          "repro.noc.backends.requirements / supports")
+          "repro.noc.backends.required_capabilities / supports")
     return 0
 
 

@@ -25,7 +25,7 @@ and become selectable through ``SimulationSpec(backend="...")``,
 Passing ``backend="auto"`` anywhere a backend name is accepted resolves
 through :func:`resolve_backend`: the fastest registered engine (highest
 ``speed_rank``) whose capabilities cover the run's
-:func:`requirements` wins.
+:func:`required_capabilities` wins.
 """
 
 from repro.noc.backends.base import (
@@ -42,7 +42,6 @@ from repro.noc.backends.base import (
     list_backends,
     register_backend,
     required_capabilities,
-    requirements,
     resolve_backend,
     supports,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "list_backends",
     "register_backend",
     "required_capabilities",
-    "requirements",
     "resolve_backend",
     "supports",
 ]

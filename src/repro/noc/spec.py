@@ -467,7 +467,7 @@ class SimulationSpec:
         Explicit backends resolve to themselves; ``"auto"`` asks the
         registry for the fastest backend whose declared capabilities
         cover this spec's requirements (the public
-        :func:`repro.noc.backends.requirements` /
+        :func:`repro.noc.backends.required_capabilities` /
         :func:`repro.noc.backends.supports` API).
         """
         if self.backend != "auto":
