@@ -49,6 +49,11 @@ from repro.telemetry.metrics import MetricsRegistry
 #: process computing the same key) before taking the key over itself.
 EXTERNAL_POLL_S = 0.05
 
+#: How many tickets a service keeps: inserting one more drops the oldest,
+#: whose sweep id then answers like an unknown one (its results stay
+#: fetchable by key).
+MAX_TICKETS = 10_000
+
 
 class _Inflight:
     """One in-process computation: waiters block on the event."""
@@ -240,6 +245,8 @@ class ExperimentService:
         )
         with self._lock:
             self._tickets[ticket.sweep_id] = ticket
+            while len(self._tickets) > MAX_TICKETS:  # oldest first
+                del self._tickets[next(iter(self._tickets))]
         return ticket
 
     # ------------------------------------------------------------------
@@ -387,4 +394,4 @@ class ExperimentService:
         self._pool.shutdown(wait=True)
 
 
-__all__ = ["EXTERNAL_POLL_S", "ExperimentService", "SweepTicket"]
+__all__ = ["EXTERNAL_POLL_S", "MAX_TICKETS", "ExperimentService", "SweepTicket"]

@@ -846,8 +846,8 @@ class ProgressLine:
             return
         self._last_paint = now
         rate = self.estimator.rate() or self.estimator.overall_rate()
-        eta = (0.0 if done >= total
-               else self.estimator.eta_s(total - done - self.failed))
+        # ``done`` already counts the failed points
+        eta = 0.0 if done >= total else self.estimator.eta_s(total - done)
         line = (f"  [{done}/{total}] {rate:.2f} pts/s, "
                 f"eta {_fmt_duration(eta)}")
         if self.failed:

@@ -391,6 +391,19 @@ class TestProgressLine:
         line(2, 2, None, "simulated")
         assert "1 failed" in stream.getvalue()
 
+    def test_eta_counts_failed_points_once(self):
+        # the runner's ``done`` includes failed points: five of ten
+        # points remain after these five calls, at one point a second
+        stream = io.StringIO()
+        line = ProgressLine(total=10, stream=stream, min_interval_s=0.0,
+                            clock=iter([1.0, 2.0, 3.0, 4.0, 5.0]).__next__)
+        for done, outcome in enumerate(
+                ("failed", "failed", "simulated", "simulated", "simulated"),
+                start=1):
+            line(done, 10, None, outcome)
+        last = stream.getvalue().rsplit("\r\x1b[K", 1)[-1]
+        assert last == "  [5/10] 1.00 pts/s, eta 5s, 2 failed"
+
 
 class TestWatchCLI:
     def _run_fabric_sweep(self, tmp_path):

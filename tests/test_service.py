@@ -448,6 +448,30 @@ class TestHttpApi:
         assert server.service.counter_value("service_simulations_total") == 1
         assert server.service.counter_value("service_coalesced_total") == 5
 
+    def test_oldest_ticket_is_evicted_past_the_cap(self, server,
+                                                   monkeypatch):
+        monkeypatch.setattr("repro.service.core.MAX_TICKETS", 2)
+        tickets = []
+        for seed in (11, 12, 13):
+            body = {"specs": [spec_to_wire(make_spec(seed=seed))]}
+            status, _, ticket = http_json(server.url + "/v1/sweeps",
+                                          data=json.dumps(body).encode())
+            assert status == 202
+            server.service.wait(ticket["keys"][0], timeout_s=120)
+            tickets.append(ticket)
+        assert len(server.service._tickets) == 2
+        status, _, doc = http_json(
+            server.url + "/v1/sweeps/" + tickets[0]["sweep_id"])
+        assert status == 404 and doc["error"]["type"] == "not_found"
+        for ticket in tickets[1:]:
+            status, _, doc = http_json(
+                server.url + "/v1/sweeps/" + ticket["sweep_id"])
+            assert status == 200 and doc["complete"]
+        # the evicted sweep's result is still served by key
+        status, _, doc = http_json(
+            server.url + "/v1/results/" + tickets[0]["keys"][0])
+        assert status == 200 and doc["source"] == "cache"
+
     def test_resubmission_is_served_from_cache(self, server):
         spec = make_spec(seed=5)
         body = json.dumps(spec_to_wire(spec)).encode()
