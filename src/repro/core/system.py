@@ -9,9 +9,11 @@ paper's evaluation figures.
 The single entry point is :meth:`NoCSprintingSystem.evaluate`, which
 returns a structured :class:`EvaluationReport` with every requested axis
 as a field.  Network simulations are described by
-:class:`~repro.noc.spec.SimulationSpec` values and executed through the
-sweep engine (:mod:`repro.exec`), so repeated evaluations hit the
-system's result cache instead of re-simulating.
+:class:`~repro.noc.spec.SimulationSpec` values.  A single evaluation
+uses the system's result cache directly and simulates only on a miss,
+so a repeated evaluation never re-simulates; batches of specs passed to
+:meth:`NoCSprintingSystem.sweep` go through the sweep engine
+(:mod:`repro.exec`).
 
 Schemes:
 
@@ -35,7 +37,7 @@ from repro.config import SystemConfig, default_config
 from repro.core.floorplanning import Floorplan, thermal_aware_floorplan
 from repro.core.topological import SprintTopology
 from repro.exec import ResultCache, SweepReport, SweepRunner
-from repro.noc.sim import SimulationResult
+from repro.noc.sim import SimulationResult, simulate
 from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry.ledger import Ledger, result_headline
 from repro.power.activity import NetworkPowerReport, network_power
@@ -249,10 +251,10 @@ class NoCSprintingSystem:
         cpu_start = time.process_time()
         profile = self._resolve(workload)
         level = self.scheme_level(profile, scheme)
-        spec = None
+        key = None
         network = None
         if simulate_network:
-            spec, network = self._network_evaluation(
+            key, network = self._network_evaluation(
                 profile, scheme, seed, warmup_cycles, measure_cycles
             )
         if floorplanned is None:
@@ -277,14 +279,13 @@ class NoCSprintingSystem:
             sprint_duration_s=duration,
         )
         self._record_evaluation(
-            report, spec,
+            report, key,
             wall_s=time.perf_counter() - start,
             cpu_s=time.process_time() - cpu_start,
         )
         return report
 
-    def _record_evaluation(self, report: EvaluationReport,
-                           spec: SimulationSpec | None,
+    def _record_evaluation(self, report: EvaluationReport, key: str | None,
                            wall_s: float, cpu_s: float) -> None:
         """Append one ``evaluate`` RunRecord to the ledger (best-effort)."""
         if not self.ledger.enabled:
@@ -303,8 +304,7 @@ class NoCSprintingSystem:
             headline["sprint_duration_s"] = report.sprint_duration_s
         points: dict[str, dict] = {}
         keys: tuple[str, ...] = ()
-        if spec is not None and report.network is not None:
-            key = spec.cache_key()
+        if key is not None:
             keys = (key,)
             points[key] = result_headline(report.network.sim)
         self.ledger.record(
@@ -411,7 +411,7 @@ class NoCSprintingSystem:
         seed: int | None,
         warmup_cycles: int,
         measure_cycles: int,
-    ) -> tuple[SimulationSpec, NetworkEvaluation]:
+    ) -> tuple[str, NetworkEvaluation]:
         spec = self.simulation_spec(
             profile,
             scheme,
@@ -419,13 +419,12 @@ class NoCSprintingSystem:
             warmup_cycles=warmup_cycles,
             measure_cycles=measure_cycles,
         )
-        # the nested runner's ledger is disabled: evaluate() records the
-        # enclosing run itself, so the point is never double-counted
-        runner = SweepRunner(
-            workers=self.workers, cache=self.cache, ledger=Ledger.disabled()
-        )
-        sim = runner.run([spec]).results[0]
-        return spec, self.network_evaluation_for(spec, sim, scheme)
+        key = spec.cache_key()
+        sim = self.cache.get(key)
+        if sim is None:
+            sim = simulate(spec)
+            self.cache.put(key, sim)
+        return key, self.network_evaluation_for(spec, sim, scheme)
 
     # ------------------------------------------------------------------
     # thermal (Figure 12 / Section 4.4)

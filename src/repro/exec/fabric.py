@@ -967,9 +967,9 @@ class FabricCoordinator:
         :class:`threading.Event` requesting a graceful drain (finish
         in-flight leases, then return with the remainder unrun).
         ``fingerprint`` must identify the *whole* sweep (the runner passes
-        its checkpoint-manifest fingerprint), not just the still-pending
-        subset -- that is what lets a resumed sweep, whose pending set has
-        shrunk, adopt the same queue directory.
+        the sweep fingerprint), not just the still-pending subset -- that
+        is what lets a resumed sweep, whose pending set has shrunk, adopt
+        the same queue directory.
         """
         config = self.config
         table = LeaseTable(config.queue_dir)

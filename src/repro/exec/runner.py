@@ -253,7 +253,7 @@ class SweepReport:
     deduplicated: int
     cache_stats: CacheStats | None = field(default=None, repr=False)
     failures: list[FailedPoint] = field(default_factory=list)
-    resumed: int = 0  # cache hits recognized as a resumed earlier sweep
+    resumed: int = 0  # cache hits read back from the cache directory
     run_record: RunRecord | None = field(default=None, repr=False)
     interrupted: bool = False  # drained early on SIGINT/SIGTERM
     fabric: object | None = field(default=None, repr=False)  # FabricStats
@@ -382,8 +382,7 @@ class SweepRunner:
         self.point_timeout = point_timeout
         self.telemetry = telemetry
         # every run leaves one RunRecord in the ledger (None: the default
-        # env-configured ledger; Ledger.disabled() opts a runner out, e.g.
-        # a nested runner whose owner records the enclosing run instead)
+        # env-configured ledger; Ledger.disabled() opts a runner out)
         self.ledger = ledger if ledger is not None else Ledger()
         self.ledger_label = ledger_label
         # what kind the RunRecord is filed under -- "sweep" for direct
@@ -413,14 +412,10 @@ class SweepRunner:
         specs = list(specs)
         total = len(specs)
         keys = [spec.cache_key() for spec in specs]
-
-        # the checkpoint manifest: a sweep is identified by the content
-        # hashes of its points, so re-running the same spec list against
-        # the same cache is recognized as a resume
+        # a sweep is identified by the content hashes of its points: the
+        # fabric adopts a queue directory and the ledger files its record
+        # under this fingerprint
         fingerprint = stable_key(tuple(keys))
-        manifest_name = "sweep-" + fingerprint[:32]
-        prior_manifest = self.cache.get_json(manifest_name)
-        self.cache.put_json(manifest_name, {"total": total, "keys": keys})
 
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else None
@@ -471,6 +466,8 @@ class SweepRunner:
         pending: dict[str, list[int]] = {}  # key -> input indices needing it
         hits = 0
         done = 0
+        # checkpoints an earlier process wrote to the cache directory
+        disk_hits = self.cache.counters.disk_hits
         for index, (spec, key) in enumerate(zip(specs, keys)):
             cached = self.cache.get(key)
             if cached is not None:
@@ -481,6 +478,7 @@ class SweepRunner:
                 notify(done, total, point, "cached")
             else:
                 pending.setdefault(key, []).append(index)
+        resumed = self.cache.counters.disk_hits - disk_hits
 
         unique = [(key, specs[indices[0]]) for key, indices in pending.items()]
         deduplicated = sum(len(ix) - 1 for ix in pending.values())
@@ -558,13 +556,6 @@ class SweepRunner:
                              absorb, attempt_failed, chaos)
 
         interrupted = self._stop.is_set() and done < total
-        if interrupted:
-            # re-stamp the manifest so a later run (and a human reading the
-            # cache directory) can see the sweep was drained mid-flight
-            self.cache.put_json(manifest_name, {
-                "total": total, "keys": keys, "interrupted": True,
-                "completed": done,
-            })
 
         dedup_served = sum(len(pending[k]) - 1 for k in succeeded)
         if tel is not None:
@@ -589,7 +580,7 @@ class SweepRunner:
             deduplicated=deduplicated,
             cache_stats=self.cache.stats(),
             failures=[failures[i] for i in sorted(failures)],
-            resumed=hits if prior_manifest is not None else 0,
+            resumed=resumed,
             interrupted=interrupted,
             fabric=fabric_stats,
         )
@@ -650,9 +641,8 @@ class SweepRunner:
         queue: a temporary directory removed on every way out, with one
         local worker per point up to ``workers`` and a circuit breaker
         at ``max_retries + 1`` failed attempts.  The fingerprint covers
-        the *full* spec list (it matches the checkpoint manifest), so a
-        resume whose pending set has shrunk still adopts an explicit
-        queue directory.
+        the *full* spec list, so a resume whose pending set has shrunk
+        still adopts an explicit queue directory.
         """
         from repro.exec.fabric import FabricConfig, FabricCoordinator
 

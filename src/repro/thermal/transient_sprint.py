@@ -114,69 +114,17 @@ class SprintTransient:
         """
         if duration_s <= 0 or dt_s <= 0:
             raise ValueError("need positive duration and dt")
-        total_power = float(sum(tile_powers))
-        # the spatial offset of the die's hotspot above the PCM/boundary
-        # node is load-dependent but time-invariant (linear RC): solve once
-        params = self.grid.params
-        die_profile = self.grid.steady_state(tile_powers)
-        hotspot_offset = float(die_profile.max()) - params.ambient_k - (
-            self.grid.spreader_temperature(tile_powers) - params.ambient_k
-        )
-
         span = (
             telemetry.tracer.span(
                 "thermal_sprint", staged=False,
-                power_w=round(total_power, 3), duration_s=duration_s,
+                power_w=round(float(sum(tile_powers)), 3),
+                duration_s=duration_s,
             )
             if telemetry is not None
             else None
         )
-        result = SprintTransientResult()
-        temperature = self.pcm.start_temperature_k
-        melted_j = 0.0
-        steps = int(round(duration_s / dt_s))
-        sample_every = max(1, steps // samples)
-        for step in range(steps + 1):
-            t = step * dt_s
-            if temperature < self.pcm.melt_temperature_k and melted_j == 0.0:
-                phase = "heating"
-            elif melted_j < self.pcm.latent_energy_j:
-                phase = "melting"
-            elif temperature < self.pcm.max_temperature_k:
-                phase = "post-melt"
-            else:
-                phase = "limit"
-
-            if step % sample_every == 0 or phase == "limit":
-                # spreader rise follows the PCM node during a transient
-                global_rise = temperature - params.ambient_k
-                peak = params.ambient_k + global_rise + hotspot_offset
-                melted_fraction = min(1.0, melted_j / self.pcm.latent_energy_j)
-                result.samples.append(
-                    TransientSample(
-                        time_s=t,
-                        pcm_temperature_k=temperature,
-                        peak_die_temperature_k=peak,
-                        melted_fraction=melted_fraction,
-                        phase=phase,
-                    )
-                )
-                if telemetry is not None:
-                    _sample_pcm(telemetry, span.id, t, temperature,
-                                melted_fraction, phase)
-            if phase == "limit":
-                result.reached_limit_at_s = t
-                break
-
-            removed = (temperature - self.pcm.start_temperature_k) / self.sink_resistance
-            net = total_power - removed
-            if phase == "melting" and net > 0:
-                melted_j += net * dt_s  # latent heat absorbs the excess
-            else:
-                temperature += net * dt_s / self.pcm_capacitance
-                temperature = max(temperature, self.pcm.start_temperature_k)
-                if temperature >= self.pcm.melt_temperature_k and melted_j < self.pcm.latent_energy_j:
-                    temperature = self.pcm.melt_temperature_k
+        result = self._integrate([tile_powers], duration_s, dt_s, samples,
+                                 telemetry, span)
         if span is not None:
             span.annotate(
                 duration_sustained_s=round(result.duration_s, 6),
@@ -207,9 +155,34 @@ class SprintTransient:
             raise ValueError("need positive duration and dt")
         if not stage_tile_powers:
             raise ValueError("need at least one power stage")
+        span = (
+            telemetry.tracer.span(
+                "thermal_sprint", staged=True,
+                stages=len(stage_tile_powers), duration_s=duration_s,
+            )
+            if telemetry is not None
+            else None
+        )
+        result = self._integrate(stage_tile_powers, duration_s, dt_s,
+                                 samples, telemetry, span)
+        if span is not None:
+            span.annotate(
+                retreats=len(result.retreats),
+                reached_limit=result.reached_limit_at_s is not None,
+            )
+            span.end()
+        return result
+
+    def _integrate(self, stage_tile_powers, duration_s, dt_s, samples,
+                   telemetry, span) -> SprintTransientResult:
+        """The PCM integration loop behind :meth:`run` (a one-stage
+        ladder) and :meth:`run_staged`; ``span`` parents the samples."""
         params = self.grid.params
 
         def stage_state(tile_powers):
+            # the spatial offset of the die's hotspot above the PCM/boundary
+            # node is load-dependent but time-invariant (linear RC): solve
+            # once per stage
             total = float(sum(tile_powers))
             die = self.grid.steady_state(tile_powers)
             offset = float(die.max()) - params.ambient_k - (
@@ -219,14 +192,6 @@ class SprintTransient:
 
         stage = 0
         total_power, hotspot_offset = stage_state(stage_tile_powers[0])
-        span = (
-            telemetry.tracer.span(
-                "thermal_sprint", staged=True,
-                stages=len(stage_tile_powers), duration_s=duration_s,
-            )
-            if telemetry is not None
-            else None
-        )
         result = SprintTransientResult()
         temperature = self.pcm.start_temperature_k
         melted_j = 0.0
@@ -244,6 +209,7 @@ class SprintTransient:
                 phase = "limit"
 
             if step % sample_every == 0 or phase == "limit":
+                # spreader rise follows the PCM node during a transient
                 global_rise = temperature - params.ambient_k
                 peak = params.ambient_k + global_rise + hotspot_offset
                 melted_fraction = min(1.0, melted_j / self.pcm.latent_energy_j)
@@ -286,16 +252,10 @@ class SprintTransient:
             removed = (temperature - self.pcm.start_temperature_k) / self.sink_resistance
             net = total_power - removed
             if phase == "melting" and net > 0:
-                melted_j += net * dt_s
+                melted_j += net * dt_s  # latent heat absorbs the excess
             else:
                 temperature += net * dt_s / self.pcm_capacitance
                 temperature = max(temperature, self.pcm.start_temperature_k)
                 if temperature >= self.pcm.melt_temperature_k and melted_j < self.pcm.latent_energy_j:
                     temperature = self.pcm.melt_temperature_k
-        if span is not None:
-            span.annotate(
-                retreats=len(result.retreats),
-                reached_limit=result.reached_limit_at_s is not None,
-            )
-            span.end()
         return result

@@ -1,6 +1,7 @@
 """Tests for the sweep-execution engine: specs, cache, parallel runner."""
 
 import dataclasses
+import os
 import pickle
 
 import pytest
@@ -242,6 +243,24 @@ class TestSweepRunner:
         report = SweepRunner(cache=ResultCache(directory=str(tmp_path))).run([spec])
         assert report.cache_hits == 1 and report.simulated == 0
 
+    def test_resumed_counts_points_read_back_from_disk(self, tmp_path):
+        """A sweep's checkpoints are its cached results: a fresh cache on a
+        directory an earlier run filled reports the points it reads back
+        as resumed, whichever spec list wrote them, and an in-process
+        repeat reports its hits as cache hits only."""
+        specs = [small_spec(rate=r) for r in (0.05, 0.1, 0.15)]
+        cache_dir = tmp_path / "cache"
+        SweepRunner(cache=ResultCache(directory=str(cache_dir))).run(specs[:2])
+        runner = SweepRunner(cache=ResultCache(directory=str(cache_dir)))
+        first = runner.run(specs)
+        assert first.resumed == 2 and first.simulated == 1
+        assert "resumed: 2 points" in first.summary()
+        second = runner.run(specs)
+        assert second.resumed == 0 and second.cache_hits == 3
+        assert "resumed:" not in second.summary()
+        assert sorted(os.listdir(cache_dir)) == sorted(
+            f"{spec.cache_key()}.pkl" for spec in specs)
+
     def test_gated_grid_is_cached_like_any_spec(self, tmp_path):
         """Timeout gating is spec data: each gated point keys apart from
         its ungated twin, and a second runner on the same cache directory
@@ -311,3 +330,18 @@ class TestSystemIntegration:
         b.evaluate("dedup", "noc_sprinting", simulate_network=True,
                    warmup_cycles=100, measure_cycles=300)
         assert cache.stats().stores == stores
+
+
+class TestEvaluateFailure:
+    def test_failing_simulation_raises_its_own_error(self, monkeypatch):
+        from repro.noc.backends.reference import ReferenceBackend
+
+        def boom(self, spec, *, telemetry=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(ReferenceBackend, "run", boom)
+        system = NoCSprintingSystem()
+        with pytest.raises(RuntimeError, match="boom"):
+            system.evaluate("dedup", "noc_sprinting", simulate_network=True,
+                            warmup_cycles=100, measure_cycles=300)
+        assert len(system.cache) == 0  # a failure is not cached

@@ -340,6 +340,29 @@ class TestServiceSingleflight:
         assert service.status(key) == "done"
         assert service.counter_value("service_simulations_total") == 1
 
+    def test_one_spec_batches_leave_only_result_entries(self, tmp_path):
+        """A service batch checkpoints nothing beside its results: no
+        side-record on disk and none held in the cache's memory."""
+        cache_dir = tmp_path / "cache"
+        service = ExperimentService(
+            cache=ResultCache(directory=str(cache_dir)), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        try:
+            for seed in range(20):
+                wire = spec_to_wire(make_spec(seed=100 + seed))
+                service.submit([wire], client="batches")
+                assert service.wait(spec_from_wire(wire).cache_key(),
+                                    timeout_s=60) is not None
+        finally:
+            service.close()
+        names = os.listdir(cache_dir)
+        assert len(names) == 20
+        assert all(name.endswith(".pkl") for name in names)
+        assert not any(str(key).startswith("__json__:")
+                       for key in service.cache._memory)
+        assert len(service.cache) == 20
+
 
 # ----------------------------------------------------------------------
 # 3. the HTTP front door
