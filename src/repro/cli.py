@@ -543,7 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="traffic patterns (grid mode)")
     sweep.add_argument("--workers", type=int, default=1,
                        help="simulation worker processes (results identical "
-                            "to --workers 1)")
+                            "to --workers 1, which runs in-process: C-kernel "
+                            "points on one thread per CPU)")
     sweep.add_argument("--cache-dir", default=None,
                        help="persist simulation results on disk for reuse "
                             "across invocations")

@@ -4,10 +4,10 @@ Every paper figure and ablation is a sweep of independent
 :class:`~repro.noc.spec.SimulationSpec` points.  This package executes
 such sweeps fast and reproducibly:
 
-- :class:`~repro.exec.runner.SweepRunner` -- run specs serially or, with
-  ``workers > 1``, on the lease fabric with forked local workers, with
-  deterministic per-point seeding, so parallel and serial runs are
-  bit-identical;
+- :class:`~repro.exec.runner.SweepRunner` -- run specs in-process (C-kernel
+  points on one thread per CPU) or, with ``workers > 1``, on the lease
+  fabric with forked local workers, with deterministic per-point seeding,
+  so every way of running them is bit-identical;
 - :class:`~repro.exec.cache.ResultCache` -- content-addressed result
   store (memory + optional disk) with hit/miss counters;
 - :class:`~repro.exec.runner.SweepReport` -- per-point timing, cache

@@ -1,4 +1,4 @@
-"""Sweep execution over simulation specs: serial, or on the lease fabric.
+"""Sweep execution over simulation specs: in-process, or on the lease fabric.
 
 :class:`SweepRunner` takes a list of :class:`~repro.noc.spec.SimulationSpec`
 values -- an injection-rate x pattern x sprint-level grid, a PARSEC
@@ -12,11 +12,14 @@ scheme comparison, any batch of independent runs -- and executes them:
    the points run on the lease-based fabric (:mod:`repro.exec.fabric`)
    with ``workers`` forked local workers, through a private queue
    directory that only this run uses and that it deletes afterwards;
-   otherwise they run serially in this process.  An explicit ``fabric``
-   config runs them on its own queue directory instead.
+   an explicit ``fabric`` config runs them on its own queue directory
+   instead.  Otherwise they run in this process: when every point runs
+   on the C kernel, whose call releases the GIL, the simulations overlap
+   on one thread per usable CPU; any other run goes one attempt at a
+   time.
 
 Because a spec carries its own traffic seed and every worker rebuilds the
-generator from the spec, parallel and serial execution produce
+generator from the spec, parallel, threaded and serial execution produce
 *bit-identical* :class:`~repro.noc.sim.SimulationResult` values -- the
 ordering of the returned points always matches the order of the input
 specs, never completion order.
@@ -41,11 +44,12 @@ import tempfile
 import threading
 import time
 import traceback as _tb
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.exec.cache import CacheStats, ResultCache
-from repro.noc.backends import required_capabilities
+from repro.noc.backends import native, required_capabilities
 from repro.noc.sim import SimulationResult, simulate
 from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry import Telemetry, TelemetryContext
@@ -153,6 +157,31 @@ def _simulate_guarded(spec: SimulationSpec, tel_ctx: TelemetryContext | None = N
     return ("ok", result, elapsed, payload)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the OS keeps
+    one (``taskset -c 0`` pins a run to one core), else every CPU."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    if affinity is not None:
+        return len(affinity(0))
+    return os.cpu_count() or 1
+
+
+def _engines(specs: Sequence[SimulationSpec]) -> list[str]:
+    """The engine each spec runs on: its backend, or for ``"auto"`` the
+    one its requirement set resolves to (resolved once per set)."""
+    by_need: dict = {}
+    engines = []
+    for spec in specs:
+        if spec.backend != "auto":
+            engines.append(spec.backend)
+            continue
+        need = required_capabilities(spec)
+        if need not in by_need:
+            by_need[need] = spec.resolved_backend()
+        engines.append(by_need[need])
+    return engines
+
+
 #: Sweep-level metric names pre-registered at the start of every
 #: instrumented run, so a clean sweep still renders them (as zeros) in the
 #: Prometheus dump instead of omitting them.
@@ -217,7 +246,7 @@ class FailedPoint:
         )
 
     def history_lines(self) -> list[str]:
-        """One line per recorded attempt event (empty for serial sweeps)."""
+        """One line per recorded attempt event (empty for in-process sweeps)."""
         lines = []
         for entry in self.history:
             event = entry.get("event", "?")
@@ -257,6 +286,7 @@ class SweepReport:
     run_record: RunRecord | None = field(default=None, repr=False)
     interrupted: bool = False  # drained early on SIGINT/SIGTERM
     fabric: object | None = field(default=None, repr=False)  # FabricStats
+    threads: int = 1  # threads an in-process run simulated on
 
     @property
     def results(self) -> list[SimulationResult]:
@@ -278,7 +308,8 @@ class SweepReport:
 
     @property
     def sim_time_s(self) -> float:
-        """Summed per-point simulation time (> wall time when parallel)."""
+        """Summed per-point simulation time (> wall time when points
+        overlap, on fabric workers or on threads)."""
         return sum(p.wall_time_s for p in self.points if not p.cached)
 
     def failure_lines(self) -> list[str]:
@@ -287,7 +318,11 @@ class SweepReport:
 
     def summary(self) -> str:
         """One-paragraph human-readable sweep report."""
-        mode = f"{self.workers} workers" if self.parallel else "serial"
+        if self.parallel:
+            mode = f"{self.workers} workers"
+        else:
+            mode = (f"in-process, {self.threads} "
+                    f"thread{'s' if self.threads != 1 else ''}")
         lines = [
             f"sweep: {self.total_points} points in {self.wall_time_s:.2f}s ({mode})",
             f"cache: {self.cache_hits} hits / {self.cache_misses} misses "
@@ -320,17 +355,23 @@ class SweepReport:
 class SweepRunner:
     """Execute batches of independent simulation specs, cached and parallel.
 
-    ``workers=1`` (the default) runs serially; ``workers>1`` runs the
-    points on the lease fabric with up to that many forked local workers,
-    through a private queue directory removed when the run ends.  A
-    ``fabric`` (:class:`~repro.exec.fabric.FabricConfig`) runs them on its
-    queue directory and worker count instead, so external ``repro worker``
+    ``workers=1`` (the default) runs the points in this process.  When
+    every point runs on the C kernel (``vectorized``, kernel available),
+    their simulations overlap on one thread per CPU the process may use,
+    up to one per point, and their results are still handled on the
+    calling thread, in input order; any other run simulates one attempt
+    at a time.  ``workers>1`` runs the points on the lease fabric with up
+    to that many forked local workers, through a private queue directory
+    removed when the run ends.  A ``fabric``
+    (:class:`~repro.exec.fabric.FabricConfig`) runs them on its queue
+    directory and worker count instead, so external ``repro worker``
     processes can join.  ``cache=None`` gives the runner a
     private in-memory cache; pass a shared :class:`ResultCache` to reuse
     results across runners, benchmarks and CLI invocations.  ``progress``
     (if given) is called as ``progress(done, total, point, outcome)`` the
     moment each point completes -- cache hits first (in input order),
-    simulated and failed points in completion order -- with ``outcome``
+    then simulated and failed points (in input order in-process, in
+    completion order on the fabric) -- with ``outcome``
     one of ``"cached"``, ``"simulated"`` or ``"failed"`` (``point`` is a
     :class:`FailedPoint` for failures), so a progress bar can render
     failures as they happen.
@@ -345,9 +386,9 @@ class SweepRunner:
     times; one whose local worker holds it past ``point_timeout`` seconds
     (the worker is killed) or dies is charged an attempt and retried
     likewise, at once.  Points that exhaust their attempts are reported
-    on ``SweepReport.failures`` instead of poisoning the sweep.  Serial
+    on ``SweepReport.failures`` instead of poisoning the sweep.  In-process
     runs cannot preempt a hung simulation, so ``point_timeout`` is only
-    enforced on parallel runs.  An explicit ``fabric`` config keeps its
+    enforced on the fabric.  An explicit ``fabric`` config keeps its
     own ``quarantine_after`` in place of ``max_retries``.
     """
 
@@ -416,6 +457,9 @@ class SweepRunner:
         # fabric adopts a queue directory and the ledger files its record
         # under this fingerprint
         fingerprint = stable_key(tuple(keys))
+        # what each point runs on decides the in-process dispatch and is
+        # the ledger record's backend
+        engines = _engines(specs)
 
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else None
@@ -545,6 +589,7 @@ class SweepRunner:
                 tel.metrics.counter("sweep_retries_total").inc()
 
         fabric_stats = None
+        threads = 1
         # an explicit fabric runs in separate processes, even external ones
         parallel = bool(unique) and (self.fabric is not None
                                      or (self.workers > 1 and len(unique) > 1))
@@ -552,8 +597,14 @@ class SweepRunner:
             fabric_stats = self._run_fabric(unique, complete, fail, absorb,
                                             attempt_failed, tel, fingerprint)
         else:
-            self._run_serial(unique, complete, fail, worker_ctx,
-                             absorb, attempt_failed, chaos)
+            # the C kernel's ctypes call releases the GIL, so its runs
+            # overlap on threads; the reference engine holds the GIL
+            if len(unique) > 1 and all(
+                    engines[pending[key][0]] == "vectorized"
+                    for key, _ in unique) and native.available():
+                threads = min(_cpu_count(), len(unique))
+            self._run_local(unique, threads, complete, fail, worker_ctx,
+                            absorb, attempt_failed, chaos)
 
         interrupted = self._stop.is_set() and done < total
 
@@ -583,14 +634,15 @@ class SweepRunner:
             resumed=resumed,
             interrupted=interrupted,
             fabric=fabric_stats,
+            threads=threads,
         )
         report.run_record = self._record_run(
-            report, specs, keys, fingerprint, tel,
+            report, engines, keys, fingerprint, tel,
             time.process_time() - cpu_start,
         )
         return report
 
-    def _record_run(self, report: SweepReport, specs, keys, fingerprint: str,
+    def _record_run(self, report: SweepReport, engines, keys, fingerprint: str,
                     tel, cpu_s: float) -> RunRecord | None:
         """Append this sweep's RunRecord to the ledger (best-effort)."""
         if not self.ledger.enabled:
@@ -605,19 +657,9 @@ class SweepRunner:
                 values = [m[metric] for m in point_payload.values()]
                 headline[metric] = sum(values) / len(values)
         headline["failures"] = float(len(report.failures))
-        # record the *resolved* engine so ledger entries for backend="auto"
-        # runs are unambiguous about what actually executed them; an auto
-        # spec resolves once per distinct capability requirement
-        backends = set()
-        by_need: dict = {}
-        for spec in specs:
-            if spec.backend != "auto":
-                backends.add(spec.backend)
-                continue
-            need = required_capabilities(spec)
-            if need not in by_need:
-                by_need[need] = spec.resolved_backend()
-            backends.add(by_need[need])
+        # the *resolved* engines, so ledger entries for backend="auto"
+        # runs are unambiguous about what actually executed them
+        backends = set(engines)
         return self.ledger.record(
             self.ledger_kind,
             label=self.ledger_label,
@@ -664,30 +706,64 @@ class SweepRunner:
             if private is not None:
                 shutil.rmtree(private, ignore_errors=True)
 
-    def _run_serial(self, unique, complete, fail, worker_ctx,
-                    absorb, attempt_failed, chaos) -> None:
-        # in-process execution cannot preempt a hung simulation, so
-        # point_timeout is not enforced here; exceptions are still
-        # isolated and retried per point, at once (a point is
-        # deterministic, so waiting would change nothing)
-        for key, spec in unique:
-            if self._stop.is_set():
-                return  # graceful drain: unfinished points stay pending
-            attempts = 0
+    def _run_local(self, unique, threads, complete, fail, worker_ctx,
+                   absorb, attempt_failed, chaos) -> None:
+        """Run the points in this process, handling each result on this
+        thread in input order.
+
+        With ``threads > 1`` the simulations run on a pool of that many
+        threads, with up to two attempts per thread submitted at a time;
+        only ``_simulate_guarded`` leaves this thread.  With one thread
+        each attempt runs here, when its turn comes.  In-process
+        execution cannot preempt a hung simulation, so ``point_timeout``
+        is not enforced; a failed attempt is retried at once, before
+        later points are handled (a point is deterministic, so waiting
+        would change nothing).  A stop request ends submission: the
+        attempts already submitted finish and are checkpointed, the rest
+        stay pending.
+        """
+        pool = None
+        if threads > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
+            pool = ThreadPoolExecutor(threads, thread_name_prefix="repro-sweep")
+
+        def submit(key, spec, attempt):
+            """Start one attempt; returns the call that yields its status."""
+            args = (spec, worker_ctx(key, attempt), chaos, attempt)
+            if pool is None:
+                return lambda: _simulate_guarded(*args)
+            return pool.submit(_simulate_guarded, *args).result
+
+        depth = 2 * threads if pool is not None else 1
+        todo = iter(unique)
+        window: deque = deque()  # (key, spec, attempt, status call)
+        try:
             while True:
-                attempts += 1
-                status = _simulate_guarded(spec, worker_ctx(key, attempts),
-                                           chaos, attempts)
+                while len(window) < depth and not self._stop.is_set():
+                    item = next(todo, None)
+                    if item is None:
+                        break
+                    key, spec = item
+                    window.append((key, spec, 1, submit(key, spec, 1)))
+                if not window:
+                    return  # done, or drained: unsubmitted points stay pending
+                key, spec, attempt, status_of = window.popleft()
+                status = status_of()
                 if status[0] == "ok":
                     complete(key, status[1], status[2], status[3])
-                    break
-                if attempts > self.max_retries:
+                elif attempt > self.max_retries:
                     attempt_failed("error", retrying=False)
-                    fail(key, "error", status[1], status[2], attempts,
+                    fail(key, "error", status[1], status[2], attempt,
                          status[4])
-                    break
-                attempt_failed("error", retrying=True)
-                absorb(key, status[4])
+                else:
+                    attempt_failed("error", retrying=True)
+                    absorb(key, status[4])
+                    window.appendleft((key, spec, attempt + 1,
+                                       submit(key, spec, attempt + 1)))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
 
 
 __all__ = ["FailedPoint", "SweepPoint", "SweepReport", "SweepRunner", "CHAOS_ENV"]

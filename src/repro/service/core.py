@@ -11,8 +11,8 @@
   (cross-process) plus an in-process event table (cross-thread), so N
   concurrent identical submissions cost exactly one simulation;
 - the existing execution engine: claimed specs are batched through a
-  :class:`~repro.exec.runner.SweepRunner` (serial, or the sweep fabric
-  when ``workers > 1``), which also writes the run ledger -- service
+  :class:`~repro.exec.runner.SweepRunner` (in-process, or the sweep
+  fabric when ``workers > 1``), which also writes the run ledger -- service
   runs file under ``kind="service"`` with the client identity as the
   label;
 - per-client admission (:class:`~repro.service.budget.ClientAccounts`)

@@ -1,8 +1,11 @@
 """Tests for the sweep-execution engine: specs, cache, parallel runner."""
 
 import dataclasses
+import json
 import os
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -10,14 +13,25 @@ from repro.config import NoCConfig
 from repro.core.system import NoCSprintingSystem
 from repro.core.topological import SprintTopology
 from repro.exec import ResultCache, SweepRunner
+from repro.exec import runner as runner_mod
+from repro.noc.backends import native
 from repro.noc.sim import (
     run_simulation,
     simulate,
     zero_load_cache,
     zero_load_latency,
 )
-from repro.noc.spec import SimulationSpec, TimeoutGating, TrafficSpec, stable_key
+from repro.noc.spec import (
+    FaultEvent,
+    FaultSchedule,
+    SimulationSpec,
+    TimeoutGating,
+    TrafficSpec,
+    stable_key,
+)
 from repro.noc.traffic import TrafficGenerator
+from repro.telemetry import Telemetry
+from repro.telemetry.ledger import Ledger
 
 CFG = NoCConfig()
 
@@ -280,6 +294,191 @@ class TestSweepRunner:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
             SweepRunner(workers=0)
+
+
+def kernel_grid(seeds=(0,)) -> list[SimulationSpec]:
+    """The Fig. 9 grid at each of ``seeds`` plus a faulted, a gated and a
+    west-first point, all on the C kernel."""
+    from benchmarks.bench_fig09_network_latency import paired_specs
+
+    fig9 = paired_specs()[1]
+    extra = [
+        small_spec(level=16, rate=0.25, seed=5, faults=FaultSchedule(
+            (FaultEvent(cycle=200, node=5),))),
+        small_spec(level=16, rate=0.1, gating=TimeoutGating(16)),
+        small_spec(level=16, rate=0.2, routing="west_first"),
+    ]
+    return [spec.with_seed(seed).with_backend("vectorized")
+            for seed in seeds for spec in fig9] + [
+        spec.with_backend("vectorized") for spec in extra]
+
+
+def allow_cpus(monkeypatch, count: int) -> None:
+    """Let the runner see ``count`` usable CPUs."""
+    monkeypatch.setattr(runner_mod, "_cpu_count", lambda: count)
+
+
+def span_tree(events) -> dict:
+    """Span id -> name, parent and attributes, with timings and event
+    order left out; samples are kept per span."""
+    spans, samples = {}, {}
+    for event in events:
+        if event["ev"] == "begin":
+            spans[event["id"]] = {"name": event["name"],
+                                  "parent": event["parent"],
+                                  "attrs": event["attrs"]}
+        elif event["ev"] == "end":
+            attrs = dict(event["attrs"])
+            attrs.pop("sim_seconds", None)
+            spans[event["id"]]["end"] = attrs
+        elif event["ev"] == "sample":
+            samples.setdefault(event["span"], []).append(
+                json.dumps(event["data"], sort_keys=True))
+    for span_id, found in samples.items():
+        spans[span_id]["samples"] = sorted(found)
+    return spans
+
+
+def ledger_body(record) -> dict:
+    """A RunRecord without its timings (and the id that hashes them)."""
+    body = record.to_json()
+    for name in ("run_id", "ts", "wall_s", "cpu_s"):
+        del body[name]
+    if body["metrics"] is not None:
+        body["metrics"] = [metric for metric in body["metrics"]["metrics"]
+                           if metric[0] != "sweep_point_sim_seconds"]
+    return body
+
+
+class TestInProcessThreads:
+    """Kernel points overlap on threads; nothing else a run shows moves."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_kernel(self):
+        if not native.available():
+            pytest.skip("the C kernel is not available")
+
+    def test_threads_match_one_cpu_under_stress(self, monkeypatch):
+        """More threads than cores, a thread switch every microsecond:
+        results, keys and point order equal the one-CPU run's."""
+        specs = kernel_grid(seeds=(0, 1, 2, 3))
+        specs.append(specs[0])  # a duplicate is served, not re-simulated
+
+        def run(cpus):
+            allow_cpus(monkeypatch, cpus)
+            return SweepRunner(telemetry=Telemetry(sample_interval=200)).run(specs)
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(6)
+        finally:
+            sys.setswitchinterval(interval)
+        assert (serial.threads, threaded.threads) == (1, 6)
+        assert threaded.ok and threaded.simulated == len(specs) - 1
+        assert [p.index for p in threaded.points] == list(range(len(specs)))
+        assert [p.key for p in threaded.points] == [p.key for p in serial.points]
+        assert [p.cached for p in threaded.points] == [p.cached for p in serial.points]
+        assert threaded.results == serial.results
+        assert "(in-process, 6 threads)" in threaded.summary()
+        assert "(in-process, 1 thread)" in serial.summary()
+
+    def test_kernel_grid_runs_attempts_on_pool_threads(self, monkeypatch):
+        idents = []
+        second = threading.Event()
+        guarded = runner_mod._simulate_guarded
+
+        def spy(spec, tel_ctx, chaos, attempt):
+            idents.append(threading.get_ident())
+            if len(idents) == 1:
+                second.wait(10)  # held until another attempt starts
+            else:
+                second.set()
+            return guarded(spec, tel_ctx, chaos, attempt)
+
+        monkeypatch.setattr(runner_mod, "_simulate_guarded", spy)
+        allow_cpus(monkeypatch, 2)
+        report = SweepRunner().run(kernel_grid())
+        assert report.ok and report.threads == 2
+        assert len(set(idents)) == 2
+        assert threading.get_ident() not in idents
+
+    def test_reference_grid_runs_on_the_calling_thread(self, monkeypatch):
+        """The reference engine holds the GIL: threads would only slow it."""
+        idents = []
+        guarded = runner_mod._simulate_guarded
+
+        def spy(spec, tel_ctx, chaos, attempt):
+            idents.append(threading.get_ident())
+            return guarded(spec, tel_ctx, chaos, attempt)
+
+        monkeypatch.setattr(runner_mod, "_simulate_guarded", spy)
+        allow_cpus(monkeypatch, 2)
+        specs = [small_spec(rate=r) for r in (0.05, 0.1, 0.15)]
+        specs.append(small_spec(rate=0.2).with_backend("vectorized"))
+        report = SweepRunner().run(specs)
+        assert report.ok and report.threads == 1
+        assert idents == [threading.get_ident()] * len(specs)
+
+    def test_run_is_observed_as_on_one_cpu(self, monkeypatch, tmp_path):
+        """Progress calls, cache puts, the ledger record and the span tree
+        are the one-CPU run's, a retried and failed point included."""
+        from repro.exec.runner import CHAOS_ENV
+
+        specs = kernel_grid()
+        coins = sorted(int(spec.cache_key()[:8], 16) / 0xFFFFFFFF
+                       for spec in specs)
+        monkeypatch.setenv(CHAOS_ENV, f"raise:{(coins[0] + coins[1]) / 2}")
+
+        def observe(cpus):
+            allow_cpus(monkeypatch, cpus)
+            progress, puts = [], []
+            cache = ResultCache()
+            put = cache.put
+            cache.put = lambda key, value: (puts.append(key), put(key, value))
+            tel = Telemetry(sample_interval=200)
+            report = SweepRunner(
+                cache=cache, telemetry=tel, max_retries=1,
+                ledger=Ledger(directory=tmp_path / f"ledger-{cpus}"),
+                progress=lambda done, total, point, outcome: progress.append(
+                    (done, point.index, outcome)),
+            ).run(specs)
+            assert report.threads == cpus
+            assert [f.attempts for f in report.failures] == [2]
+            return (progress, puts, ledger_body(report.run_record),
+                    span_tree(tel.tracer.events))
+
+        assert observe(2) == observe(1)
+
+    def test_cold_imports_load_no_thread_pool(self):
+        """The pool module is imported by the threaded branch alone."""
+        import subprocess
+
+        probe = ("import sys, repro.cli, repro.exec.runner; "
+                 "print('concurrent.futures' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        child = subprocess.run([sys.executable, "-c", probe], env=env,
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
+
+    def test_stop_from_the_first_progress_call_drains(self, monkeypatch):
+        """A stop ends submission; the window in flight is checkpointed
+        and a rerun on the same cache completes the rest."""
+        allow_cpus(monkeypatch, 2)
+        specs = kernel_grid()
+        cache = ResultCache()
+        runner = SweepRunner(cache=cache)
+        runner.progress = lambda *_: runner.request_stop()
+        first = runner.run(specs)
+        assert first.interrupted
+        assert 0 < len(first.points) < len(specs)
+        assert "INTERRUPTED" in first.summary()
+        rest = SweepRunner(cache=cache).run(specs)
+        assert rest.ok and not rest.interrupted
+        assert rest.cache_hits == len(first.points)
+        assert rest.simulated == len(specs) - len(first.points)
 
 
 class TestZeroLoadMemo:

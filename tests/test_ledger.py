@@ -170,37 +170,44 @@ class TestLedger:
         assert ledger.path.read_text(encoding="utf-8") == line
 
     def test_sweep_record_resolves_auto_once(self, tmp_path, monkeypatch):
-        """A 24-point auto fig-9 request resolves its ledger backend once;
-        specs on two engines still record "mixed"."""
+        """A 24-point auto fig-9 request resolves its engines once, before
+        dispatch, and its ledger record reuses them without resolving
+        again; specs on two engines still record "mixed"."""
         from benchmarks.bench_fig09_network_latency import paired_specs
 
         import repro.noc.backends as backends
-        from repro.exec.runner import SweepRunner as Runner
+        from repro.exec import runner as runner_mod
 
         resolve = backends.resolve_backend
-        record_run = Runner._record_run
-        calls = []
+        calls = {"_engines": [], "_record_run": []}
         inside = []
 
         def counting(*args, **kwargs):
             if inside:
-                calls.append(args)
+                calls[inside[-1]].append(args)
             return resolve(*args, **kwargs)
 
-        def recording(self, *args, **kwargs):
-            inside.append(True)
-            try:
-                return record_run(self, *args, **kwargs)
-            finally:
-                inside.pop()
+        def spied(name, call):
+            def wrapper(*args, **kwargs):
+                inside.append(name)
+                try:
+                    return call(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return wrapper
 
         monkeypatch.setattr(backends, "resolve_backend", counting)
-        monkeypatch.setattr(Runner, "_record_run", recording)
+        monkeypatch.setattr(runner_mod, "_engines",
+                            spied("_engines", runner_mod._engines))
+        monkeypatch.setattr(runner_mod.SweepRunner, "_record_run",
+                            spied("_record_run",
+                                  runner_mod.SweepRunner._record_run))
         specs = [spec.with_backend("auto") for spec in paired_specs()[1]]
         assert len(specs) == 24
         ledger = Ledger(directory=tmp_path)
         report = SweepRunner(ledger=ledger).run(specs)
-        assert len(calls) == 1
+        assert len(calls["_engines"]) == 1
+        assert calls["_record_run"] == []
         assert report.run_record.backend == specs[0].resolved_backend()
 
         mixed = [small_spec(rate=0.05).with_backend("reference"),
