@@ -10,9 +10,8 @@ Commands map onto the paper's evaluation axes:
 - ``network``                injection-rate sweep on a sprint region (Fig. 11)
 - ``thermal [benchmark]``    heat maps and PCM phases (Figs. 1, 12)
 - ``duration``               per-benchmark sprint-duration gains (Sec. 4.4)
-- ``report <trace.jsonl>``   span tree, top time sinks and metrics of a
-  trace produced with ``sweep --trace`` (``--metrics sweep.prom`` folds
-  in a Prometheus sidecar, with estimated histogram quantiles)
+- ``report <trace.jsonl>``   span tree, top time sinks and metrics (with
+  estimated histogram quantiles) of a trace produced with ``sweep --trace``
 - ``compare A B``            statistical diff of two ledger runs
 - ``regress --baseline REF`` gate the newest run against a baseline;
   exits 4 on regression (the CI regression observatory)
@@ -97,6 +96,11 @@ def _cmd_sprint(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not args.fabric and (args.lease_ttl is not None
+                            or args.quarantine_after is not None):
+        print("invalid sweep grid: --lease-ttl and --quarantine-after tune "
+              "the lease fabric; they need --fabric QUEUE_DIR")
+        return 2
     # any grid-mode flag routes to the grid sweep; otherwise flags like
     # --resume or --fault would be silently ignored by the legacy summary
     if (args.levels or args.rates or args.patterns or args.fault
@@ -761,10 +765,6 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("trace", help="JSONL trace from `repro sweep --trace`")
     report.add_argument("--top", type=int, default=10,
                         help="number of time sinks to list")
-    report.add_argument("--metrics", default=None, metavar="PATH",
-                        help="Prometheus sidecar from `repro sweep --metrics`; "
-                             "replaces the trace's embedded snapshot and adds "
-                             "estimated histogram p50/p95/p99")
 
     def _add_ledger_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--ledger-dir", default=None, metavar="DIR",
@@ -840,12 +840,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(args.trace):
         print(f"no such trace file: {args.trace}")
         return 2
-    if args.metrics and not os.path.exists(args.metrics):
-        print(f"no such metrics file: {args.metrics}")
-        return 2
     try:
-        print(render_report(args.trace, sink_limit=args.top,
-                            metrics_path=args.metrics))
+        print(render_report(args.trace, sink_limit=args.top))
     except ValueError as err:
         print(f"unreadable trace: {err}")
         return 2

@@ -166,7 +166,7 @@ class NoCSprintingSystem:
         self.workers = workers
         self.backend = backend
         # run history: evaluate() and sweep() append RunRecords here
-        # (None: the env-configured default; Ledger.disabled() opts out)
+        # (None: the env-configured default; REPRO_LEDGER=0 opts out)
         self.ledger = ledger if ledger is not None else Ledger()
         self.chip_model = ChipPowerModel(self.config.core_count)
         self.floorplan: Floorplan | None = (

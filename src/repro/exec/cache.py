@@ -78,20 +78,6 @@ class CacheStats:
             bytes_written=self.bytes_written,
         )
 
-    def as_dict(self) -> dict:
-        """A JSON-ready rendering, including the derived hit rate."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
-            "corrupt": self.corrupt,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-            "hit_rate": round(self.hit_rate, 6),
-        }
-
 
 #: A claim file untouched for this long is presumed orphaned (its holder
 #: crashed before releasing) and may be taken over by the next claimant.
@@ -104,37 +90,22 @@ class CacheClaim:
 
     Returned by :meth:`ResultCache.get_or_begin` to exactly one claimant
     per key at a time, so request coalescing can never race two writers
-    for the same slot.  The holder must end the claim exactly one way:
-
-    - :meth:`complete` -- publish the computed value and release, or
-    - :meth:`release` -- release without writing (the value was stored
-      through another path, e.g. a sweep runner that writes the cache
-      itself), or
-    - :meth:`abandon` -- the computation failed; release so another
-      claimant may retry.
-
-    All three are idempotent after the first call.
+    for the same slot.  The holder ends the claim with :meth:`release`:
+    after publishing the value with :meth:`ResultCache.put` (or having a
+    sweep runner publish it), or without a value when the computation
+    failed, so another claimant may retry the key.
     """
 
     cache: "ResultCache"
     key: str
     _ended: bool = field(default=False, repr=False)
 
-    def complete(self, value) -> None:
-        """Publish ``value`` under the claimed key and release the claim."""
-        self.cache.put(self.key, value)
-        self.release()
-
     def release(self) -> None:
-        """End the claim without writing a value."""
+        """End the claim; idempotent after the first call."""
         if self._ended:
             return
         self._ended = True
         self.cache._release_claim(self.key)
-
-    def abandon(self) -> None:
-        """End a failed claim so another claimant may retry the key."""
-        self.release()
 
 
 @dataclass
@@ -286,41 +257,34 @@ class ResultCache:
         assert self.directory is not None
         return os.path.join(self.directory, f"{key}.claim")
 
-    def get_or_begin(
-        self, key: str, *, claim_ttl_s: float = DEFAULT_CLAIM_TTL_S
-    ) -> tuple:
+    def get_or_begin(self, key: str) -> tuple:
         """Look up ``key``; on a miss, try to claim the right to compute it.
 
         Three-way return contract:
 
         - ``(value, None)`` -- cache hit, nothing to compute;
         - ``(None, claim)`` -- miss and *this caller* won the
-          :class:`CacheClaim`: compute the value, then
-          ``claim.complete(value)`` (or :meth:`CacheClaim.abandon` on
-          failure);
+          :class:`CacheClaim`: compute and :meth:`put` the value, then
+          ``claim.release()`` (release without a value on failure);
         - ``(None, None)`` -- miss but another claimant (thread or
           process) already holds the claim: poll :meth:`get` / re-call
           ``get_or_begin`` until the value lands or the claim clears.
 
         Disk-backed caches arbitrate across processes with an
         ``O_CREAT | O_EXCL`` claim file (the same primitive as the sweep
-        fabric's leases); memory-only caches arbitrate across threads
-        with an internal set.  A claim file older than ``claim_ttl_s``
-        is presumed orphaned by a crashed holder and is taken over.
+        fabric's leases); memory-only caches, and disk-backed ones whose
+        directory refuses the claim file, arbitrate across threads with
+        an internal set, as :meth:`put` degrades to memory.  A claim file
+        older than ``DEFAULT_CLAIM_TTL_S`` (read at each call) is
+        presumed orphaned by a crashed holder and is taken over.
         """
         value = self.get(key)
         if value is not None:
             return value, None
-        if self.directory is None:
-            with self._claims_lock:
-                if key in self._claims:
-                    return None, None
-                self._claims.add(key)
-            claim = CacheClaim(self, key)
-        else:
-            claim = self._begin_disk_claim(key, claim_ttl_s)
-            if claim is None:
-                return None, None
+        claim = (self._begin_memory_claim(key) if self.directory is None
+                 else self._begin_disk_claim(key))
+        if claim is None:
+            return None, None
         # close the miss -> claim window: a competitor may have completed
         # (and released) between our miss and our claim win
         value = self.get(key)
@@ -329,14 +293,23 @@ class ResultCache:
             return value, None
         return None, claim
 
-    def _begin_disk_claim(self, key: str, claim_ttl_s: float):
+    def _begin_memory_claim(self, key: str):
+        with self._claims_lock:
+            if key in self._claims:
+                return None
+            self._claims.add(key)
+        return CacheClaim(self, key)
+
+    def _begin_disk_claim(self, key: str):
         path = self._claim_path(key)
         stamp = json.dumps({"pid": os.getpid(), "ts": time.time()})
         for attempt in (0, 1):
             try:
                 won = create_exclusive(path, stamp.encode("utf-8"))
             except OSError:
-                return None  # unwritable directory: nobody claims
+                # unwritable directory: arbitrate in-process, as put()
+                # degrades to memory
+                return self._begin_memory_claim(key)
             if won:
                 with self._claims_lock:
                     self._claims.add(key)
@@ -345,7 +318,7 @@ class ResultCache:
                 age = time.time() - os.path.getmtime(path)
             except OSError:
                 continue  # released between open and stat: retry once
-            if attempt == 0 and age > claim_ttl_s:
+            if attempt == 0 and age > DEFAULT_CLAIM_TTL_S:
                 # orphaned claim (holder crashed): take it over
                 try:
                     os.unlink(path)

@@ -604,7 +604,7 @@ class _Heartbeat:
 
 def worker_main(queue_dir: str, worker_id: str | None = None,
                 poll_s: float = POLL_S, wait_s: float = 10.0,
-                log=None, generation: int = 0) -> int:
+                generation: int = 0) -> int:
     """The fabric worker loop (``repro worker --queue DIR``, and the body
     of every forked local worker).
 
@@ -619,11 +619,10 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
     malformed recipe.  SIGINT/SIGTERM drain gracefully: the in-flight
     point is finished and recorded before exiting.
     """
-    emit = (log or print)
     try:
         chaos = ChaosPlan.from_env()
     except ValueError as err:
-        emit(f"worker: {err}")
+        print(f"worker: {err}")
         return 2
     table = LeaseTable(queue_dir)
     deadline = time.monotonic() + wait_s
@@ -634,7 +633,7 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
             break
         except QueueError as err:
             if time.monotonic() >= deadline:
-                emit(f"worker: {err}")
+                print(f"worker: {err}")
                 return 2
             time.sleep(min(0.1, poll_s))
     worker = worker_id or f"w{os.getpid()}"
@@ -694,7 +693,7 @@ def worker_main(queue_dir: str, worker_id: str | None = None,
               else "halted" if log.halted else "drained")
     table.append({"ev": "worker-exit", "worker": worker,
                   "points": completed, "reason": reason})
-    emit(f"worker {worker} exiting ({reason}): {completed} point(s) done")
+    print(f"worker {worker} exiting ({reason}): {completed} point(s) done")
     return 0
 
 

@@ -423,7 +423,7 @@ class SweepRunner:
         self.point_timeout = point_timeout
         self.telemetry = telemetry
         # every run leaves one RunRecord in the ledger (None: the default
-        # env-configured ledger; Ledger.disabled() opts a runner out)
+        # env-configured ledger; REPRO_LEDGER=0 turns recording off)
         self.ledger = ledger if ledger is not None else Ledger()
         self.ledger_label = ledger_label
         # what kind the RunRecord is filed under -- "sweep" for direct

@@ -49,6 +49,7 @@ HEAD_VA_DELAY = 2  # buffer write -> earliest VC allocation for a head flit
 BODY_SA_DELAY = 1  # buffer write -> earliest switch request for a body flit
 LINK_DELAY = 2  # switch grant -> buffer write at the downstream router
 CREDIT_DELAY = 1  # switch grant -> credit visible upstream
+WAKEUP_LATENCY = 8  # wake request -> gated router powered (as in the C kernel)
 
 
 class Router:
@@ -92,9 +93,9 @@ class Router:
         self.wake_at = None
         return True
 
-    def request_wake(self, cycle: int, wakeup_latency: int) -> None:
+    def request_wake(self, cycle: int) -> None:
         if self.gated and self.wake_at is None:
-            self.wake_at = cycle + wakeup_latency
+            self.wake_at = cycle + WAKEUP_LATENCY
 
     def maybe_finish_wake(self, cycle: int) -> None:
         if self.gated and self.wake_at is not None and cycle >= self.wake_at:
@@ -111,13 +112,11 @@ class Network:
         topology: SprintTopology,
         route_table: dict[tuple[int, int], int],
         config: NoCConfig | None = None,
-        wakeup_latency: int = 8,
         activity: NetworkActivity | None = None,
     ):
         self.topology = topology
         self.config = config or NoCConfig()
         self.route_table = route_table
-        self.wakeup_latency = wakeup_latency
         # `activity` lets a fault reconfiguration hand the accumulated
         # counters to the replacement network so power accounting spans
         # the whole run
@@ -179,7 +178,7 @@ class Network:
                 if not queue:
                     continue
                 if router.gated:
-                    router.request_wake(cycle, self.wakeup_latency)
+                    router.request_wake(cycle)
                     continue
                 # claim an idle LOCAL input VC for the packet (round-robin)
                 start = self._ni_vc_ptr[node]
@@ -197,7 +196,7 @@ class Network:
                 self._inject_state[node] = state
             packet, index, vc = state
             if router.gated:
-                router.request_wake(cycle, self.wakeup_latency)
+                router.request_wake(cycle)
                 continue
             if len(router.buf[PORT_LOCAL][vc]) >= depth:
                 continue
@@ -234,7 +233,7 @@ class Network:
             router.last_active_cycle = cycle
             if router.gated:
                 # a flit raced the gate-off decision; pull the router back up
-                router.request_wake(cycle, self.wakeup_latency)
+                router.request_wake(cycle)
             if self.counting:
                 router.activity.buffer_writes += 1
 
@@ -357,7 +356,7 @@ class Network:
                         )
                     downstream = self.routers[link[0]]
                     if downstream.gated:
-                        downstream.request_wake(cycle, self.wakeup_latency)
+                        downstream.request_wake(cycle)
                         continue
                 nominations.append((in_p, in_v, out_p, out_v, flit))
                 break

@@ -9,7 +9,7 @@ This module models the *conventional* alternative the paper argues against
 so the ablation bench can quantify the difference:
 
 - :class:`TimeoutGatingPolicy` gates any router idle longer than a timeout
-  and wakes it (paying ``wakeup_latency`` cycles) when a flit needs it.
+  and wakes it (paying ``WAKEUP_LATENCY`` cycles) when a flit needs it.
 - :func:`break_even_cycles` computes the minimum profitable idle period
   from the power model's leakage and wakeup energies.
 """
@@ -51,7 +51,7 @@ class TimeoutGatingPolicy:
 
     The policy never gates routers that hold flits.  Wakeups are demand
     driven: the simulator calls ``request_wake`` when a flit's next hop is
-    gated, and the router comes back ``wakeup_latency`` cycles later (the
+    gated, and the router comes back ``WAKEUP_LATENCY`` cycles later (the
     flit waits upstream meanwhile -- the latency penalty the paper's
     static scheme avoids).
     """

@@ -21,14 +21,11 @@ older versions into the on-disk result cache.
 
 from __future__ import annotations
 
-import dataclasses
-
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
 from repro.noc.backends import check_capabilities, get_backend
-from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.result import SimulationResult
-from repro.noc.spec import SimulationSpec, TimeoutGating, stable_key
+from repro.noc.spec import SimulationSpec, stable_key
 from repro.noc.traffic import TrafficGenerator
 
 __all__ = [
@@ -41,7 +38,7 @@ __all__ = [
 
 
 def simulate(
-    spec: SimulationSpec, gating_policy=None, telemetry=None, backend: str | None = None
+    spec: SimulationSpec, telemetry=None, backend: str | None = None
 ) -> SimulationResult:
     """Run the simulation a :class:`~repro.noc.spec.SimulationSpec` describes.
 
@@ -65,14 +62,7 @@ def simulate(
     ``backend="auto"`` (in the spec or the override) picks the fastest
     registered backend whose capabilities cover this run, via
     :func:`repro.noc.backends.resolve_backend`.
-
-    ``gating_policy`` (an exact
-    :class:`~repro.noc.power_gating.TimeoutGatingPolicy`) runs as the
-    equivalent ``spec.gating`` value, and the run's ``result.gating``
-    counters are added to its ``stats``.
     """
-    if gating_policy is not None:
-        spec = dataclasses.replace(spec, gating=_gating_of(gating_policy))
     name = backend if backend is not None else spec.backend
     if name == "auto":
         from repro.noc.backends import resolve_backend
@@ -81,34 +71,7 @@ def simulate(
     else:
         engine = get_backend(name)
         check_capabilities(engine, spec, telemetry)
-    result = engine.run(spec, telemetry=telemetry)
-    _credit(gating_policy, result)
-    return result
-
-
-def _gating_of(policy) -> TimeoutGating:
-    """The spec value a ``gating_policy=`` argument stands for.
-
-    Timeout gating is spec data, so only an exact
-    :class:`~repro.noc.power_gating.TimeoutGatingPolicy` has one; a
-    subclass or any other per-cycle policy object is refused.
-    """
-    if type(policy) is not TimeoutGatingPolicy:
-        raise TypeError(
-            "gating_policy must be a TimeoutGatingPolicy, not "
-            f"{type(policy).__name__}; timeout gating is the spec field "
-            "SimulationSpec.gating"
-        )
-    return TimeoutGating(policy.idle_timeout, policy.protected_nodes)
-
-
-def _credit(policy, result: SimulationResult) -> None:
-    """Add a gated run's counters to its ``gating_policy=`` argument."""
-    if policy is not None:
-        stats = policy.stats
-        stats.gate_events += result.gating.gate_events
-        stats.wake_events += result.gating.wake_events
-        stats.gated_router_cycles += result.gating.gated_router_cycles
+    return engine.run(spec, telemetry=telemetry)
 
 
 def run_simulation(
@@ -119,7 +82,6 @@ def run_simulation(
     warmup_cycles: int = 500,
     measure_cycles: int = 2000,
     drain_cycles: int = 30000,
-    gating_policy=None,
     faults=None,
     telemetry=None,
     backend: str | None = None,
@@ -137,18 +99,12 @@ def run_simulation(
     engines consume the traffic process on their own schedule).
 
     ``routing`` is ``"cdor"``, ``"xy"``, or one of the adaptive turn models
-    (``"west_first"``, ``"negative_first"``; full mesh only).
-    ``gating_policy``, if given, must be exactly a
-    :class:`repro.noc.power_gating.TimeoutGatingPolicy` (used by the
-    run-time power-gating ablation; the main NoC-sprinting experiments
-    power-gate statically by never instantiating dark routers).  It runs
-    as the equivalent ``SimulationSpec.gating`` value, and the run's
-    ``result.gating`` counters are added to its ``stats``; any other
-    policy object raises :class:`TypeError`.
+    (``"west_first"``, ``"negative_first"``; full mesh only).  Timeout
+    gating is spec data (``SimulationSpec.gating``), so a gated run takes
+    the spec form.
     """
     if isinstance(topology, SimulationSpec):
-        return simulate(topology, gating_policy=gating_policy,
-                        telemetry=telemetry, backend=backend)
+        return simulate(topology, telemetry=telemetry, backend=backend)
     if traffic is None:
         raise TypeError("run_simulation needs a TrafficGenerator (or a SimulationSpec)")
     if backend is not None and backend != "reference":
@@ -158,7 +114,7 @@ def run_simulation(
         )
     from repro.noc.backends.reference import _execute
 
-    result = _execute(
+    return _execute(
         topology,
         traffic,
         config or NoCConfig(),
@@ -166,12 +122,10 @@ def run_simulation(
         warmup_cycles,
         measure_cycles,
         drain_cycles,
-        _gating_of(gating_policy) if gating_policy is not None else None,
+        gating=None,
         faults=faults,
         telemetry=telemetry,
     )
-    _credit(gating_policy, result)
-    return result
 
 
 _zero_load_cache = None

@@ -5,8 +5,9 @@ service: clients POST :class:`~repro.noc.spec.SimulationSpec` documents
 in the versioned wire format (:func:`repro.noc.spec.spec_to_wire`),
 identical concurrent submissions coalesce onto one simulation through
 :meth:`~repro.exec.cache.ResultCache.get_or_begin` claims, execution
-rides the existing pool/fabric runners, and results are served from the
-content-addressed cache with the run ledger as the durable fallback.
+rides the sweep runner (in-process, or on the fabric), and results are
+served from the content-addressed cache with the run ledger as the
+durable fallback.
 Per-client token buckets and simulated-seconds budgets keep multi-tenant
 load legible (``service_*`` metrics series).
 

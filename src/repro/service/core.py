@@ -45,9 +45,13 @@ from repro.service.budget import (
 from repro.telemetry.ledger import Ledger, RunRecord
 from repro.telemetry.metrics import MetricsRegistry
 
-#: How long a coalescing waiter polls an *external* claim holder (another
-#: process computing the same key) before taking the key over itself.
+#: How often a coalescing waiter polls an *external* claim holder
+#: (another process computing the same key).
 EXTERNAL_POLL_S = 0.05
+
+#: Executor threads per service: they bound concurrent batch executions
+#: *and* external-claim waiters.
+EXECUTOR_THREADS = 4
 
 #: How many tickets a service keeps: inserting one more drops the oldest,
 #: whose sweep id then answers like an unknown one (its results stay
@@ -96,8 +100,7 @@ class ExperimentService:
     ``workers`` is the process fan-out each claimed batch is executed
     with (on a private fabric queue when above 1).  ``accounts``
     carries the per-client admission policy; the default is permissive
-    (no budget, generous rate).  ``executor_threads`` bounds concurrent
-    batch executions *and* external-claim waiters.
+    (no budget, generous rate).
     """
 
     def __init__(
@@ -107,7 +110,6 @@ class ExperimentService:
         accounts: ClientAccounts | None = None,
         registry: MetricsRegistry | None = None,
         ledger: Ledger | None = None,
-        executor_threads: int = 4,
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.workers = workers
@@ -125,7 +127,7 @@ class ExperimentService:
         self._errors: dict[str, str] = {}
         self._tickets: dict[str, SweepTicket] = {}
         self._pool = ThreadPoolExecutor(
-            max_workers=executor_threads, thread_name_prefix="repro-service"
+            max_workers=EXECUTOR_THREADS, thread_name_prefix="repro-service"
         )
         self._closed = False
 
@@ -264,7 +266,7 @@ class ExperimentService:
             report = runner.run(specs)
         except BaseException as err:  # noqa: BLE001 -- waiter threads must wake
             for key, claim in claims.items():
-                claim.abandon()
+                claim.release()
                 self._resolve(key, error=f"{type(err).__name__}: {err}")
             self._count("service_failures_total", len(claims))
             return
@@ -280,20 +282,20 @@ class ExperimentService:
             self.registry.gauge(
                 "service_budget_spent_seconds", client=client
             ).set(round(spent, 6))
-        failed = {point.key: point for point in report.failures}
+        failed = {point.key: point.error for point in report.failures}
         for key, claim in claims.items():
-            failure = failed.get(key)
-            if failure is not None:
-                claim.abandon()
-                self._resolve(key, error=failure.error)
-            else:
-                # the runner already published the value crash-atomically
-                claim.release()
-                self._resolve(key)
+            # the runner already published each value crash-atomically
+            claim.release()
+            self._resolve(key, error=failed.get(key))
 
-    def _await_external(self, spec, key: str, client: str,
-                        timeout_s: float = 300.0) -> None:
-        deadline = time.monotonic() + timeout_s
+    def _await_external(self, spec, key: str, client: str) -> None:
+        from repro.exec.cache import DEFAULT_CLAIM_TTL_S  # as of this call
+
+        # get_or_begin takes over a claim file older than the claim TTL,
+        # and the holder's file predates this wait: one TTL from now this
+        # waiter holds the key unless another process claimed it anew
+        # meanwhile, which the second TTL allows for
+        deadline = time.monotonic() + 2 * DEFAULT_CLAIM_TTL_S
         while time.monotonic() < deadline:
             value, claim = self.cache.get_or_begin(key)
             if value is not None:
@@ -301,7 +303,7 @@ class ExperimentService:
                 return
             if claim is not None:
                 # the external holder released without publishing (crash
-                # or abandon): this waiter inherits the computation
+                # or failure): this waiter inherits the computation
                 self._execute_batch([spec], {key: claim}, client)
                 return
             time.sleep(EXTERNAL_POLL_S)

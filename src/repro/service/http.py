@@ -202,14 +202,12 @@ class _ServiceHandler(QuietHandler):
 class ExperimentServer(ThreadedServer):
     """The ``repro serve`` HTTP front end over one ExperimentService.
 
-    :meth:`stop` also closes the service (drains its executor) when the
-    server owns it (``own_service=True``, the CLI default).
+    :meth:`stop` also closes the service (drains its executor).
     """
 
     def __init__(self, service: ExperimentService, host: str = "127.0.0.1",
-                 port: int = 0, own_service: bool = True):
+                 port: int = 0):
         self.service = service
-        self._own_service = own_service
         super().__init__(_ServiceHandler, host, port)
 
     # ------------------------------------------------------------------
@@ -324,8 +322,7 @@ class ExperimentServer(ThreadedServer):
 
     def stop(self) -> None:
         super().stop()
-        if self._own_service:
-            self.service.close()
+        self.service.close()
 
 
 __all__ = [

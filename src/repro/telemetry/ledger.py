@@ -171,20 +171,12 @@ class Ledger:
     >>> last = ledger.latest(kind="sweep")
     """
 
-    def __init__(self, directory: str | Path | None = None,
-                 enabled: bool | None = None):
-        if enabled is None:
-            flag = os.environ.get(LEDGER_ENV, "1").strip().lower()
-            enabled = flag not in ("0", "false", "no", "off")
+    def __init__(self, directory: str | Path | None = None):
+        flag = os.environ.get(LEDGER_ENV, "1").strip().lower()
         if directory is None:
             directory = os.environ.get(LEDGER_DIR_ENV) or DEFAULT_LEDGER_DIR
         self.directory = Path(directory)
-        self.enabled = enabled
-
-    @classmethod
-    def disabled(cls) -> "Ledger":
-        """A ledger that records nothing (for nested/internal runners)."""
-        return cls(enabled=False)
+        self.enabled = flag not in ("0", "false", "no", "off")
 
     @property
     def path(self) -> Path:

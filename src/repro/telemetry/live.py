@@ -27,8 +27,7 @@ The view is surfaced three ways, all stdlib-only:
 
 Everything here is read-only with respect to the queue directory: a
 watcher can attach to any fabric sweep -- running, crashed, finished,
-under chaos -- without perturbing it (the <2 % attach overhead is gated by
-``benchmarks/bench_extension_fabric.py``).
+under chaos -- without changing its results.
 """
 
 from __future__ import annotations
@@ -805,7 +804,7 @@ def parse_serve_address(text: str) -> tuple[str, int]:
 
 
 # ----------------------------------------------------------------------
-# the sweep progress line (pool + fabric CLI sweeps)
+# the sweep progress line (in-process and fabric CLI sweeps)
 # ----------------------------------------------------------------------
 class ProgressLine:
     """A ``SweepRunner`` progress callback rendering rate + ETA in place.

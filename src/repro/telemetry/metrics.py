@@ -125,8 +125,7 @@ class MetricsRegistry:
         return self._get(Histogram, name, help, labels, buckets=buckets)
 
     def preregister(self, counters: dict[str, str] | None = None, *,
-                    gauges: dict[str, str] | None = None,
-                    histograms: dict[str, str] | None = None) -> None:
+                    gauges: dict[str, str] | None = None) -> None:
         """Eagerly register ``name -> help`` batches of instruments.
 
         Subsystems call this at the start of an instrumented run so every
@@ -140,8 +139,6 @@ class MetricsRegistry:
             self.counter(name, help_text)
         for name, help_text in (gauges or {}).items():
             self.gauge(name, help_text)
-        for name, help_text in (histograms or {}).items():
-            self.histogram(name, help_text)
 
     def __len__(self) -> int:
         return len(self._instruments)

@@ -11,7 +11,6 @@ schema documented in :mod:`repro.telemetry.tracer` and renders:
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -189,82 +188,6 @@ def metrics_snapshot(events: list[dict]) -> dict | None:
     return snapshot
 
 
-_LABEL_RE = re.compile(r'([A-Za-z_][A-Za-z0-9_]*)="([^"]*)"')
-
-
-def parse_prometheus(text: str) -> dict:
-    """Parse Prometheus text exposition back into a mergeable snapshot.
-
-    The inverse of :meth:`MetricsRegistry.render_prometheus` for the
-    subset that renderer emits, so a ``.prom`` sidecar written by
-    ``Telemetry.save`` can be re-read by ``repro report --metrics`` (and
-    merged into a registry like any worker snapshot).  Histogram series
-    (``_bucket``/``_sum``/``_count``) are folded back into one histogram
-    state; unknown comment lines are ignored.
-    """
-    kinds: dict[str, str] = {}
-    help_text: dict[str, str] = {}
-    scalars: dict[tuple, float] = {}
-    hists: dict[tuple, dict] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line.split(None, 3)
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                kinds[parts[2]] = parts[3].strip()
-            elif len(parts) >= 4 and parts[1] == "HELP":
-                help_text[parts[2]] = parts[3]
-            continue
-        left, _, value_text = line.rpartition(" ")
-        if not left:
-            continue
-        try:
-            value = float(value_text)
-        except ValueError:
-            continue
-        if left.endswith("}") and "{" in left:
-            name, _, label_body = left.partition("{")
-            labels = dict(_LABEL_RE.findall(label_body[:-1]))
-        else:
-            name, labels = left, {}
-        for suffix in ("_bucket", "_sum", "_count"):
-            base = name[: -len(suffix)]
-            if name.endswith(suffix) and kinds.get(base) == "histogram":
-                le = labels.pop("le", None)
-                key = (base, tuple(sorted(labels.items())))
-                state = hists.setdefault(key, {"le": {}, "sum": 0.0, "count": 0})
-                if suffix == "_bucket":
-                    if le is not None and le != "+Inf":
-                        state["le"][float(le)] = int(value)
-                elif suffix == "_sum":
-                    state["sum"] = value
-                else:
-                    state["count"] = int(value)
-                break
-        else:
-            key = (name, tuple(sorted(labels.items())))
-            scalars[key] = value
-    metrics = []
-    for (name, label_key), value in scalars.items():
-        kind = kinds.get(name, "gauge")
-        if value == int(value):
-            value = int(value)  # "8" -> 8, so a re-render matches the source
-        metrics.append((name, label_key, kind, value))
-    for (name, label_key), state in hists.items():
-        buckets = tuple(sorted(state["le"]))
-        counts, previous = [], 0
-        for bound in buckets:
-            cumulative = state["le"][bound]
-            counts.append(cumulative - previous)
-            previous = cumulative
-        counts.append(max(0, state["count"] - previous))  # +Inf overflow
-        metrics.append((name, label_key, "histogram",
-                        (buckets, tuple(counts), state["count"], state["sum"])))
-    return {"metrics": metrics, "help": help_text}
-
-
 def estimate_quantile(buckets, counts, count: int, q: float) -> float:
     """Prometheus-style quantile estimate from cumulative-bucket counts.
 
@@ -329,15 +252,8 @@ def render_metrics(snapshot: dict) -> str:
     return "\n".join(sections) + "\n"
 
 
-def render_report(path: str | Path, sink_limit: int = 10,
-                  metrics_path: str | Path | None = None) -> str:
-    """The full ``repro report`` output for one trace file.
-
-    ``metrics_path`` names a Prometheus ``.prom`` sidecar (as written by
-    ``Telemetry.save`` / ``repro sweep --metrics``); when given it is the
-    source of the metrics section, replacing the snapshot embedded in the
-    trace (they describe the same run, so merging would double-count).
-    """
+def render_report(path: str | Path, sink_limit: int = 10) -> str:
+    """The full ``repro report`` output for one trace file."""
     events = load_trace(path)
     roots = build_tree(events)
     sections: list[str] = []
@@ -357,12 +273,7 @@ def render_report(path: str | Path, sink_limit: int = 10,
             sections.append("\n".join(rows))
     else:
         sections.append(f"no spans in {path}")
-    if metrics_path is not None:
-        snapshot = parse_prometheus(
-            Path(metrics_path).read_text(encoding="utf-8")
-        )
-    else:
-        snapshot = metrics_snapshot(events)
+    snapshot = metrics_snapshot(events)
     if snapshot and snapshot.get("metrics"):
         sections.append("metrics (prometheus text)\n-------------------------")
         sections.append(render_metrics(snapshot).rstrip("\n"))
@@ -376,7 +287,6 @@ __all__ = [
     "estimate_quantile",
     "load_trace",
     "metrics_snapshot",
-    "parse_prometheus",
     "render_metrics",
     "render_report",
     "render_span_tree",

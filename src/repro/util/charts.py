@@ -17,7 +17,6 @@ _BLOCKS = " ▏▎▍▌▋▊▉█"
 def bar_chart(
     values: Mapping[str, float],
     width: int = 40,
-    value_format: str = "{:.2f}",
     title: str | None = None,
 ) -> str:
     """Horizontal bar chart, one row per labelled value."""
@@ -40,8 +39,7 @@ def bar_chart(
         partial = _BLOCKS[round(remainder * (len(_BLOCKS) - 1))] if full < width else ""
         bar = "█" * full + partial
         lines.append(
-            f"{label.ljust(label_width)} |{bar.ljust(width)}| "
-            + value_format.format(value)
+            f"{label.ljust(label_width)} |{bar.ljust(width)}| {value:.2f}"
         )
     return "\n".join(lines)
 

@@ -56,9 +56,9 @@ def format_series(series: Mapping[str, Sequence[float]], x_name: str, x: Sequenc
     return format_table(headers, rows)
 
 
-def render_heatmap(grid, value_format: str = "{:6.1f}") -> str:
+def render_heatmap(grid) -> str:
     """Render a 2D array (row-major, row 0 at the top) as aligned text."""
     lines = []
     for row in grid:
-        lines.append(" ".join(value_format.format(float(v)) for v in row))
+        lines.append(" ".join(f"{float(v):6.1f}" for v in row))
     return "\n".join(lines)

@@ -40,7 +40,6 @@ from repro.noc.backends import (
     resolve_backend,
     supports,
 )
-from repro.noc.power_gating import TimeoutGatingPolicy
 from repro.noc.sim import simulate, run_simulation
 from repro.noc.spec import (
     FaultEvent,
@@ -413,19 +412,6 @@ def assert_on_kernel(returned):
         assert len(returned) == 1 and returned[0] is not None
 
 
-class StepCountingPolicy(TimeoutGatingPolicy):
-    """Timeout gating with its own ``step``: arbitrary per-cycle Python,
-    which is not spec data."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        self.steps = 0
-
-    def step(self, network):
-        self.steps += 1
-        super().step(network)
-
-
 EQUIV_CASES = [
     # (level, rate, pattern, routing)
     (16, 0.05, "uniform", "xy"),
@@ -473,39 +459,28 @@ class TestCrossBackendEquivalence:
                                     idle_timeout, monkeypatch):
         """Contention is where the kernel's allocation masks skip work:
         saturated full meshes, activity counters and gating stats included."""
+        gating = TimeoutGating(idle_timeout) if idle_timeout is not None else None
         spec = make_spec(level=width * width, rate=rate, pattern=pattern,
                          routing=routing, seed=1, width=width, warmup=100,
-                         measure=300, drain_cycles=600)
-        policies = [TimeoutGatingPolicy(idle_timeout=idle_timeout)
-                    if idle_timeout is not None else None for _ in range(2)]
-        ref = simulate(spec, gating_policy=policies[0], backend="reference")
+                         measure=300, drain_cycles=600, gating=gating)
+        ref = simulate(spec, backend="reference")
         returned = spy_on_kernel(monkeypatch)
-        fast = simulate(spec, gating_policy=policies[1], backend="vectorized")
+        fast = simulate(spec, backend="vectorized")
         assert_on_kernel(returned)
         assert ref.saturated
         assert_identical(ref, fast, f"{width}x{width} {pattern}/{routing}")
-        if idle_timeout is not None:
-            assert policies[0].stats.gate_events > 0
-            assert policies[0].stats == policies[1].stats
+        if gating is not None:
+            assert ref.gating.gate_events > 0
+            assert ref.gating == fast.gating
 
     @pytest.mark.parametrize("route", [
         "native-disabled", "vcs-above-max", "repeated-endpoint",
-        "policy-subclass",
     ])
     def test_reference_fallback_agrees(self, route, monkeypatch):
         """Every run the kernel does not cover declines it and runs on the
-        reference engine, with the same bits.  A policy subclass is not
-        such a run any more: the ``gating_policy=`` adapter refuses it
-        before any engine starts."""
+        reference engine, with the same bits."""
         spec = make_spec(level=8, rate=0.2, seed=3)
         returned = spy_on_kernel(monkeypatch)
-        if route == "policy-subclass":
-            policy = StepCountingPolicy(idle_timeout=16)
-            for backend in ("vectorized", "reference"):
-                with pytest.raises(TypeError, match="SimulationSpec.gating"):
-                    simulate(spec, gating_policy=policy, backend=backend)
-            assert returned == [] and policy.steps == 0
-            return
         if route == "native-disabled":
             monkeypatch.setenv("REPRO_NOC_NATIVE", "0")
         elif route == "vcs-above-max":
@@ -574,30 +549,28 @@ class TestFullCapabilityEquivalence:
 
     @staticmethod
     def _gated_pair(spec):
-        ref_policy = TimeoutGatingPolicy(idle_timeout=16)
-        fast_policy = TimeoutGatingPolicy(idle_timeout=16)
-        ref = simulate(spec, gating_policy=ref_policy, backend="reference")
-        fast = simulate(spec, gating_policy=fast_policy, backend="vectorized")
-        return ref, fast, ref_policy.stats, fast_policy.stats
+        spec = dataclasses.replace(spec, gating=TimeoutGating(16))
+        ref = simulate(spec, backend="reference")
+        return ref, simulate(spec, backend="vectorized")
 
     @pytest.mark.parametrize("level,rate", [(16, 0.05), (16, 0.30), (9, 0.08)])
     def test_gated_runs_bit_identical(self, level, rate, monkeypatch):
         returned = spy_on_kernel(monkeypatch)
         spec = make_spec(level=level, rate=rate, seed=level)
-        ref, fast, ref_stats, fast_stats = self._gated_pair(spec)
-        assert ref_stats.gate_events > 0  # the policy actually gated
+        ref, fast = self._gated_pair(spec)
+        assert ref.gating.gate_events > 0  # the policy actually gated
         assert_identical(ref, fast, f"gated L{level} r{rate}")
-        assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+        assert ref.gating == fast.gating
         assert_on_kernel(returned)
 
     def test_gated_faulted_run_bit_identical(self, monkeypatch):
         returned = spy_on_kernel(monkeypatch)
         spec = make_spec(level=16, rate=0.05, seed=3, faults=FaultSchedule(
             (FaultEvent(cycle=300, node=5, duration=300),)))
-        ref, fast, ref_stats, fast_stats = self._gated_pair(spec)
+        ref, fast = self._gated_pair(spec)
         assert ref.reconfigurations == 2
         assert_identical(ref, fast, "gated+faulted")
-        assert dataclasses.asdict(ref_stats) == dataclasses.asdict(fast_stats)
+        assert ref.gating == fast.gating
         assert_on_kernel(returned)
 
     def test_faulted_counters_surface_drops(self):
@@ -630,6 +603,16 @@ class TestNativeKernel:
         assert path != native._library_path(source, flags[:-1])
         assert path != native._library_path(source, ("-O3", *flags[1:]))
         assert path != native._library_path(source + "\n", flags)
+
+    def test_engines_share_one_wakeup_latency(self):
+        import re
+
+        from repro.noc import network
+        from repro.noc.backends import native
+
+        defines = re.findall(r"^#define WAKEUP_LATENCY (\d+)\b",
+                             native._KERNEL_SOURCE, re.MULTILINE)
+        assert defines == [str(network.WAKEUP_LATENCY)]
 
     @pytest.mark.parametrize("line,mutant,message,rate", [
         # a tail that leaves no longer frees its out-VC in the mask
@@ -894,12 +877,11 @@ class TestSamplingParity:
     def test_gated_sampled_run_agrees(self):
         from repro.telemetry import Telemetry
 
-        spec = make_spec(level=16, rate=0.05, seed=3)
+        spec = make_spec(level=16, rate=0.05, seed=3, gating=TimeoutGating(16))
         streams = {}
         for backend in ("reference", "vectorized"):
             tel = Telemetry(sample_interval=100)
-            result = simulate(spec, gating_policy=TimeoutGatingPolicy(
-                idle_timeout=16), telemetry=tel, backend=backend)
+            result = simulate(spec, telemetry=tel, backend=backend)
             events = tel.tracer.drain()
             streams[backend] = (
                 dataclasses.asdict(result),

@@ -87,6 +87,16 @@ class TestCommands:
                      "--patterns", "shuffle"]) == 2
         assert "invalid sweep grid" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--lease-ttl", "3"],
+        ["--levels", "2", "--rates", "0.05", "--quarantine-after", "2"],
+    ])
+    def test_sweep_refuses_fabric_flags_without_fabric(self, flags, capsys):
+        # without --fabric nothing reads them: the legacy summary or an
+        # in-process grid would run and drop the flag
+        assert main(["sweep", *flags]) == 2
+        assert "invalid sweep grid: " in capsys.readouterr().out
+
     def test_network(self, capsys):
         assert main(["network", "--level", "2", "--rates", "0.1"]) == 0
         out = capsys.readouterr().out

@@ -398,10 +398,3 @@ class TestCliObservatory:
         out = capsys.readouterr().out
         assert "disk_entries" in out
         assert "hit_rate" in out
-
-    def test_report_missing_metrics_file(self, tmp_path, capsys):
-        trace = tmp_path / "t.jsonl"
-        trace.write_text("")
-        assert main(["report", str(trace),
-                     "--metrics", str(tmp_path / "missing.prom")]) == 2
-        assert "no such metrics file" in capsys.readouterr().out

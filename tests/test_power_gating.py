@@ -14,7 +14,7 @@ from repro.noc.power_gating import (
 )
 from repro.noc.routing import build_routing_table
 from repro.noc.sim import run_simulation
-from repro.noc.traffic import TrafficGenerator
+from repro.noc.spec import SimulationSpec, TimeoutGating, TrafficSpec
 
 CFG = NoCConfig()
 
@@ -79,12 +79,11 @@ class TestTimeoutGatingPolicy:
     def test_traffic_still_delivered_with_gating(self):
         """Packets wake gated routers and still arrive (with latency cost)."""
         topo = SprintTopology.for_level(4, 4, 16)
-        traffic = TrafficGenerator(list(range(16)), 0.05, 5, seed=3)
-        policy = TimeoutGatingPolicy(idle_timeout=32)
-        res = run_simulation(
-            topo, traffic, CFG, routing="xy",
-            warmup_cycles=400, measure_cycles=1500, gating_policy=policy,
-        )
+        res = run_simulation(SimulationSpec(
+            topo, TrafficSpec(tuple(range(16)), 0.05, 5, seed=3), CFG,
+            routing="xy", warmup_cycles=400, measure_cycles=1500,
+            gating=TimeoutGating(idle_timeout=32),
+        ))
         assert not res.saturated
         assert res.packets_ejected == res.packets_measured
 
@@ -93,14 +92,14 @@ class TestTimeoutGatingPolicy:
         when traffic is sparse."""
         topo = SprintTopology.for_level(4, 4, 16)
 
-        def run(policy):
-            traffic = TrafficGenerator(list(range(16)), 0.01, 5, seed=3)
-            return run_simulation(
-                topo, traffic, CFG, routing="xy",
-                warmup_cycles=400, measure_cycles=3000, gating_policy=policy,
-            )
+        def run(gating):
+            return run_simulation(SimulationSpec(
+                topo, TrafficSpec(tuple(range(16)), 0.01, 5, seed=3), CFG,
+                routing="xy", warmup_cycles=400, measure_cycles=3000,
+                gating=gating,
+            ))
 
-        gated = run(TimeoutGatingPolicy(idle_timeout=16))
+        gated = run(TimeoutGating(idle_timeout=16))
         plain = run(None)
         assert gated.avg_latency > plain.avg_latency
 

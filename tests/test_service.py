@@ -175,14 +175,15 @@ class TestGetOrBegin:
         assert cache.has_claim("k")
         again = cache.get_or_begin("k")
         assert again == (None, None)
-        claim.complete(7)
+        cache.put("k", 7)
+        claim.release()
         assert not cache.has_claim("k")
         assert cache.get_or_begin("k") == (7, None)
 
     def test_abandon_lets_another_claimant_retry(self, tmp_path):
         cache = ResultCache(directory=str(tmp_path))
         _, claim = cache.get_or_begin("k")
-        claim.abandon()
+        claim.release()  # a failed computation publishes nothing
         value, retry = cache.get_or_begin("k")
         assert value is None and retry is not None
         retry.release()
@@ -192,7 +193,8 @@ class TestGetOrBegin:
         _, claim = cache.get_or_begin("k")
         assert claim is not None
         assert cache.get_or_begin("k") == (None, None)
-        claim.complete("done")
+        cache.put("k", "done")
+        claim.release()
         assert cache.get_or_begin("k") == ("done", None)
 
     def test_claim_file_arbitrates_across_instances(self, tmp_path):
@@ -202,7 +204,8 @@ class TestGetOrBegin:
         _, claim = a.get_or_begin("k")
         assert claim is not None
         assert b.get_or_begin("k") == (None, None)
-        claim.complete(9)
+        a.put("k", 9)
+        claim.release()
         assert b.get_or_begin("k") == (9, None)
 
     def test_stale_claim_is_taken_over(self, tmp_path):
@@ -214,9 +217,10 @@ class TestGetOrBegin:
         old = os.path.getmtime(path) - 10_000
         os.utime(path, (old, old))
         cache._claims.discard("k")  # the "crash" took the memory state too
-        value, takeover = cache.get_or_begin("k", claim_ttl_s=60.0)
+        value, takeover = cache.get_or_begin("k")
         assert value is None and takeover is not None
-        takeover.complete(1)
+        cache.put("k", 1)
+        takeover.release()
         assert cache.get("k") == 1
 
     def test_hammer_exactly_one_winner_per_key(self, tmp_path):
@@ -235,7 +239,8 @@ class TestGetOrBegin:
                 if claim is not None:
                     with wins_lock:
                         wins.append((key, worker))
-                    claim.complete(f"{key}-by-{worker}")
+                    cache.put(key, f"{key}-by-{worker}")
+                    claim.release()
 
         threads = [
             threading.Thread(target=contend, args=(caches[i % 2], i))
@@ -338,6 +343,52 @@ class TestServiceSingleflight:
             service.close()
         assert value is not None
         assert service.status(key) == "done"
+        assert service.counter_value("service_simulations_total") == 1
+
+    def test_unwritable_claim_directory_claims_in_process(self, tmp_path,
+                                                          monkeypatch):
+        """A directory that refuses claim files arbitrates the claim
+        in-process, as ``put`` degrades to memory: the spec runs at once
+        instead of waiting on a holder that does not exist."""
+        def refuse(path, data):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("repro.exec.cache.create_exclusive", refuse)
+        service = ExperimentService(
+            cache=ResultCache(directory=str(tmp_path / "cache")), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        wire = spec_to_wire(make_spec(seed=93))
+        key = spec_from_wire(wire).cache_key()
+        try:
+            ticket = service.submit([wire], client="readonly")
+            value = service.wait(key, timeout_s=10)
+        finally:
+            service.close()
+        assert value is not None
+        assert (ticket.new, ticket.coalesced) == (1, 0)
+        assert service.counter_value("service_simulations_total") == 1
+
+    def test_waiter_inherits_an_orphaned_claim(self, tmp_path, monkeypatch):
+        """A claim file left by a crashed holder is taken over once it is
+        older than the claim TTL, before the waiter gives up."""
+        monkeypatch.setattr("repro.exec.cache.DEFAULT_CLAIM_TTL_S", 1.0)
+        monkeypatch.setattr("repro.service.core.EXTERNAL_POLL_S", 0.01)
+        cache_dir = tmp_path / "cache"
+        service = ExperimentService(
+            cache=ResultCache(directory=str(cache_dir)), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        wire = spec_to_wire(make_spec(seed=94))
+        key = spec_from_wire(wire).cache_key()
+        (cache_dir / f"{key}.claim").write_text('{"pid": 0, "ts": 0}')
+        try:
+            ticket = service.submit([wire], client="orphan")
+            value = service.wait(key, timeout_s=10)
+        finally:
+            service.close()
+        assert value is not None
+        assert (ticket.new, ticket.coalesced) == (0, 1)
         assert service.counter_value("service_simulations_total") == 1
 
     def test_one_spec_batches_leave_only_result_entries(self, tmp_path):
