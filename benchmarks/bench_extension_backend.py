@@ -5,8 +5,8 @@ cheap -- and is only allowed to exist under one condition: it must return
 the *same bits* as the reference simulator on every run it accepts.  This
 bench runs the full Figure 9 spec grid (every PARSEC workload under both
 sprinting schemes) through each backend, then a *faulted* variant of the
-same grid through ``backend="auto"`` (which resolves to the fast path now
-that it carries the full capability set), times every pass wall-clock,
+same grid through ``backend="auto"`` (which always runs the fast path),
+times every pass wall-clock,
 checks every result field pairwise, and writes the numbers to
 ``BENCH_backend.json`` for CI to archive.  It needs the C kernel: without
 a compiler the vectorized backend runs on the reference engine and there
@@ -160,7 +160,7 @@ def test_extension_backend_speedup_and_equivalence(benchmark):
     # is dead weight, and one that drifts from the reference is a bug
     assert payload["speedup"] >= payload["min_speedup_gate"]
     assert payload["max_field_delta"] <= MAX_DELTA
-    # the capability-parity contract: the faulted grid rides the fast
+    # the fault-parity contract: the faulted grid rides the fast
     # path end to end, at the same exactness and a comparable speedup
     assert payload["faulted_speedup"] >= payload["min_speedup_gate"]
     assert payload["faulted_max_field_delta"] <= MAX_DELTA

@@ -16,7 +16,7 @@ Commands map onto the paper's evaluation axes:
 - ``regress --baseline REF`` gate the newest run against a baseline;
   exits 4 on regression (the CI regression observatory)
 - ``cache stats``            counters and on-disk footprint of a result cache
-- ``backends``               the live simulation-backend capability matrix
+- ``backends``               the registered simulation backends
 - ``worker --queue DIR``     join a ``sweep --fabric DIR`` run as an external
   lease-based worker (spawnable mid-sweep, survives coordinator churn)
 - ``fabric audit DIR``       replay a fabric queue's event log and verify the
@@ -101,13 +101,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print("invalid sweep grid: --lease-ttl and --quarantine-after tune "
               "the lease fabric; they need --fabric QUEUE_DIR")
         return 2
-    # any grid-mode flag routes to the grid sweep; otherwise flags like
-    # --resume or --fault would be silently ignored by the legacy summary
-    if (args.levels or args.rates or args.patterns or args.fault
-            or args.resume or args.cache_dir or args.max_retries
-            or args.point_timeout is not None or args.trace
-            or args.metrics or args.backend != "reference"
-            or args.ledger_dir or args.ledger_label or args.fabric):
+    defaults = build_parser().parse_args(["sweep"])
+    if (args.sample_interval != defaults.sample_interval
+            and not (args.trace or args.metrics)):
+        print("invalid sweep grid: --sample-interval sets the sampling of "
+              "a traced run; it needs --trace or --metrics")
+        return 2
+    # the legacy summary takes no flag: any flag off its default routes to
+    # the grid sweep instead of being ignored
+    if vars(args) != vars(defaults):
         return _cmd_sweep_grid(args)
     from repro.core.system import NoCSprintingSystem
 
@@ -245,35 +247,6 @@ def _cmd_sweep_grid(args: argparse.Namespace) -> int:
         from repro.telemetry import Telemetry
 
         telemetry = Telemetry(sample_interval=args.sample_interval)
-    # validate the backend against each point's needs up front, so an
-    # incompatible combination fails before any worker launches -- and
-    # reports *every* bad point, not just the first, since a partial grid
-    # is usually misconfigured in more than one place
-    from repro.noc.backends import (
-        BackendCapabilityError,
-        check_capabilities,
-        get_backend,
-        resolve_backend,
-    )
-
-    problems = []
-    for spec in specs:
-        try:
-            if args.backend == "auto":
-                resolve_backend(spec, telemetry=telemetry)
-            else:
-                check_capabilities(get_backend(args.backend), spec, telemetry)
-        except (BackendCapabilityError, ValueError) as err:
-            problems.append(
-                f"level={spec.topology.level} pattern={spec.traffic.pattern} "
-                f"rate={spec.traffic.injection_rate:g}: {err}"
-            )
-    if problems:
-        for line in problems:
-            print(f"invalid sweep grid: {line}")
-        print(f"invalid sweep grid: {len(problems)} of {len(specs)} points "
-              f"incompatible with backend {args.backend!r}")
-        return 2
     from repro.telemetry import Ledger
 
     fabric_config = None
@@ -511,8 +484,7 @@ def _cmd_duration(args: argparse.Namespace) -> int:
 def _backend_names() -> list[str]:
     from repro.noc.backends import list_backends
 
-    # "auto" is a selection policy, not a registered engine: the fastest
-    # backend whose capabilities cover each run (see resolve_backend)
+    # "auto" is not a registered engine: it runs spec.AUTO_BACKEND
     return ["auto", *list_backends()]
 
 
@@ -560,7 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--drain", type=int, default=4000)
     sweep.add_argument("--max-retries", type=int, default=0,
                        help="re-attempts per failing point, made at once "
-                            "(--fabric counts --quarantine-after instead)")
+                            "(not with --fabric, which retries a point "
+                            "until --quarantine-after)")
     sweep.add_argument("--point-timeout", type=float, default=None,
                        help="seconds a local worker may hold one point "
                             "before it is killed and the point retried "
@@ -584,8 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--backend", default="reference",
                        choices=_backend_names(),
                        help="simulation engine for every point (grid mode; "
-                            "'vectorized' is the fast path, 'auto' picks "
-                            "the fastest engine covering each point)")
+                            "'vectorized' is the fast path, and what "
+                            "'auto' runs)")
     sweep.add_argument("--ledger-dir", default=None, metavar="DIR",
                        help="run-ledger directory (grid mode; default "
                             ".repro/ledger or $REPRO_LEDGER_DIR; "
@@ -817,8 +790,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "backends",
-        help="list registered simulation backends, their capabilities and "
-             "native-kernel availability",
+        help="list registered simulation backends and native-kernel "
+             "availability",
     )
 
     figure = sub.add_parser(
@@ -1065,27 +1038,24 @@ def _cmd_watch(args: argparse.Namespace) -> int:
 
 
 def _cmd_backends(args: argparse.Namespace) -> int:
-    """Print the live capability matrix of the registered backends."""
-    from repro.noc.backends import get_backend, list_backends
-    from repro.noc.backends import native
+    """Print the registered backends and whether the C kernel loads."""
+    from repro.noc.backends import list_backends, native
+    from repro.noc.spec import AUTO_BACKEND
 
     rows = []
     for name in list_backends():
-        backend = get_backend(name)
-        caps = ", ".join(sorted(getattr(backend, "capabilities", frozenset())))
         kernel = "-"
         if name == "vectorized":
             kernel = ("available" if native.available()
                       else "unavailable (runs on reference)")
-        rows.append([name, getattr(backend, "speed_rank", 0), caps, kernel])
+        rows.append([name, kernel])
     print(format_table(
-        ["backend", "speed rank", "capabilities", "native kernel"],
+        ["backend", "native kernel"],
         rows,
         title="registered simulation backends",
     ))
-    print("backend='auto' (spec, run_simulation, sweep --backend) picks the "
-          "highest-ranked engine whose capabilities cover the run; see "
-          "repro.noc.backends.required_capabilities / supports")
+    print(f"backend='auto' (spec, run_simulation, sweep --backend) runs "
+          f"{AUTO_BACKEND!r}")
     return 0
 
 

@@ -144,8 +144,8 @@ class NoCSprintingSystem:
     ``backend`` names the registered simulation engine every induced
     :class:`~repro.noc.spec.SimulationSpec` carries (see
     :mod:`repro.noc.backends`); non-default backends key the cache
-    separately.  ``backend="auto"`` defers to the registry, which picks
-    the fastest engine covering each spec's requirements.
+    separately.  ``backend="auto"`` runs ``"vectorized"``
+    (:data:`repro.noc.spec.AUTO_BACKEND`).
     """
 
     def __init__(

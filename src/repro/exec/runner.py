@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from repro.exec.cache import CacheStats, ResultCache
-from repro.noc.backends import native, required_capabilities
+from repro.noc.backends import native
 from repro.noc.sim import SimulationResult, simulate
 from repro.noc.spec import SimulationSpec, stable_key
 from repro.telemetry import Telemetry, TelemetryContext
@@ -164,22 +164,6 @@ def _cpu_count() -> int:
     if affinity is not None:
         return len(affinity(0))
     return os.cpu_count() or 1
-
-
-def _engines(specs: Sequence[SimulationSpec]) -> list[str]:
-    """The engine each spec runs on: its backend, or for ``"auto"`` the
-    one its requirement set resolves to (resolved once per set)."""
-    by_need: dict = {}
-    engines = []
-    for spec in specs:
-        if spec.backend != "auto":
-            engines.append(spec.backend)
-            continue
-        need = required_capabilities(spec)
-        if need not in by_need:
-            by_need[need] = spec.resolved_backend()
-        engines.append(by_need[need])
-    return engines
 
 
 #: Sweep-level metric names pre-registered at the start of every
@@ -388,8 +372,9 @@ class SweepRunner:
     likewise, at once.  Points that exhaust their attempts are reported
     on ``SweepReport.failures`` instead of poisoning the sweep.  In-process
     runs cannot preempt a hung simulation, so ``point_timeout`` is only
-    enforced on the fabric.  An explicit ``fabric`` config keeps its
-    own ``quarantine_after`` in place of ``max_retries``.
+    enforced on the fabric.  An explicit ``fabric`` config bounds the
+    attempts by its own ``quarantine_after``, so it takes no
+    ``max_retries``.
     """
 
     def __init__(
@@ -414,6 +399,9 @@ class SweepRunner:
             raise ValueError("workers must be >= 1")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
+        if fabric is not None and max_retries:
+            raise ValueError("a fabric retries a point until its "
+                             "quarantine_after; max_retries must be 0")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError("point_timeout must be positive (or None)")
         self.workers = workers
@@ -459,7 +447,7 @@ class SweepRunner:
         fingerprint = stable_key(tuple(keys))
         # what each point runs on decides the in-process dispatch and is
         # the ledger record's backend
-        engines = _engines(specs)
+        engines = [spec.resolved_backend() for spec in specs]
 
         tel = self.telemetry
         tracer = tel.tracer if tel is not None else None

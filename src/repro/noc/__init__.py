@@ -11,7 +11,6 @@ from repro.util.lazy import lazy_exports
 _EXPORTS = {
     "NetworkActivity": ".activity",
     "RouterActivity": ".activity",
-    "BackendCapabilityError": ".backends",
     "SimBackend": ".backends",
     "get_backend": ".backends",
     "list_backends": ".backends",
@@ -46,7 +45,6 @@ __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
 __all__ = [
     "NetworkActivity",
     "RouterActivity",
-    "BackendCapabilityError",
     "SimBackend",
     "get_backend",
     "list_backends",

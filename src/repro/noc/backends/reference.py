@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.noc.backends.base import ALL_CAPABILITIES
 from repro.noc.network import Network
 from repro.noc.result import SimulationResult
 from repro.noc.routing import build_table
@@ -33,10 +32,6 @@ class ReferenceBackend:
     """Cycle-accurate simulation of live Router objects (the default)."""
 
     name = "reference"
-    capabilities = ALL_CAPABILITIES
-    # backend="auto" picks the supporting backend with the highest rank;
-    # the reference engine is the universal (slowest) floor at 0
-    speed_rank = 0
 
     def run(self, spec: SimulationSpec, *, telemetry=None) -> SimulationResult:
         return _execute(

@@ -12,7 +12,7 @@ two backends produce *bit-identical*
 cross-backend equivalence suite in ``tests/test_backends.py`` and the CI
 gate in ``benchmarks/bench_extension_backend.py``).
 
-The kernel covers the full capability set: fault schedules (a chain of
+The kernel covers every spec feature: fault schedules (a chain of
 per-region kernel segments with the reference's drop-and-retransmit
 policy replayed between them), adaptive routing, telemetry sampling and
 tracing, and ``SimulationSpec.gating`` timeout gating (the
@@ -30,7 +30,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.noc.backends import native
-from repro.noc.backends.base import ALL_CAPABILITIES
 from repro.noc.backends.reference import ReferenceBackend
 from repro.noc.result import SimulationResult
 from repro.noc.spec import SimulationSpec
@@ -75,10 +74,6 @@ class VectorizedBackend:
     """Flat-array exact replica of the reference pipeline."""
 
     name = "vectorized"
-    capabilities = ALL_CAPABILITIES
-    # backend="auto" picks the supporting backend with the highest rank;
-    # the kernel outruns the reference on everything it covers
-    speed_rank = 10
 
     def run(self, spec: SimulationSpec, *, telemetry=None) -> SimulationResult:
         result = native.execute(spec, telemetry=telemetry)

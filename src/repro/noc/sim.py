@@ -7,11 +7,7 @@ actual engine is looked up in the backend registry
 (:mod:`repro.noc.backends`) by name: ``"reference"`` is the cycle-accurate
 object-model simulator and the default; ``"vectorized"`` is the compiled
 fast path (:mod:`repro.noc.backends.native`), which hands the runs its
-kernel does not cover to the reference engine.  The spec's declared
-capability needs (faults, timeout gating, adaptive routing, telemetry
-sampling) are checked against the chosen backend before the run starts,
-so a fast path declines what it cannot simulate instead of silently
-mis-simulating it.
+kernel does not cover to the reference engine, and what ``"auto"`` runs.
 
 The warmup / measure / drain methodology itself lives with the backends
 (see :mod:`repro.noc.backends.reference`); :class:`SimulationResult` is
@@ -23,9 +19,9 @@ from __future__ import annotations
 
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
-from repro.noc.backends import check_capabilities, get_backend
+from repro.noc.backends import get_backend
 from repro.noc.result import SimulationResult
-from repro.noc.spec import SimulationSpec, stable_key
+from repro.noc.spec import AUTO_BACKEND, SimulationSpec, stable_key
 from repro.noc.traffic import TrafficGenerator
 
 __all__ = [
@@ -49,28 +45,17 @@ def simulate(
 
     ``backend`` overrides the spec's ``backend`` field for this call (the
     spec field is what the result cache keys on; the override is for
-    callers that own their caching, like the equivalence tests).  The
-    chosen engine's declared capabilities are checked against what the
-    run needs -- a :class:`~repro.noc.backends.BackendCapabilityError`
-    explains any mismatch.
+    callers that own their caching, like the equivalence tests).
+    ``backend="auto"`` (in the spec or the override) runs
+    :data:`~repro.noc.spec.AUTO_BACKEND`.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`, optional) records
     phase spans, periodic per-router samples and run counters; it never
     influences the simulation itself, so results stay bit-identical with
     telemetry on, off, or absent.
-
-    ``backend="auto"`` (in the spec or the override) picks the fastest
-    registered backend whose capabilities cover this run, via
-    :func:`repro.noc.backends.resolve_backend`.
     """
     name = backend if backend is not None else spec.backend
-    if name == "auto":
-        from repro.noc.backends import resolve_backend
-
-        engine = resolve_backend(spec, telemetry=telemetry)
-    else:
-        engine = get_backend(name)
-        check_capabilities(engine, spec, telemetry)
+    engine = get_backend(AUTO_BACKEND if name == "auto" else name)
     return engine.run(spec, telemetry=telemetry)
 
 

@@ -130,10 +130,9 @@ WIRE_VERSION = 1
 class WireFormatError(ValueError):
     """A wire payload could not be decoded into a spec.
 
-    Carries the same structured payload shape as
-    :class:`~repro.noc.backends.BackendCapabilityError` (``type`` /
-    ``message`` plus optional detail lists), so HTTP clients can branch on
-    one error schema.  ``code`` distinguishes the failure classes:
+    The service answers it in the one structured error body
+    (:func:`repro.service.http.error_payload`), so HTTP clients can branch
+    on one error schema.  ``code`` distinguishes the failure classes:
     ``"version"`` (unknown/unsupported ``v``), ``"schema"`` (malformed or
     drifted payload shape) and ``"value"`` (well-formed payload whose
     values fail spec validation).
@@ -386,6 +385,10 @@ class FaultSchedule:
 #: the engine a spec runs on when it names none
 _DEFAULT_BACKEND = "reference"
 
+#: the engine ``backend="auto"`` runs: the C kernel, which hands the runs
+#: it does not cover to the reference engine
+AUTO_BACKEND = "vectorized"
+
 
 @dataclass(frozen=True)
 class SimulationSpec:
@@ -409,10 +412,8 @@ class SimulationSpec:
     # which registered simulation engine executes the run (see
     # repro.noc.backends).  Omitted from the canonical form at its default,
     # so every pre-existing cache key is preserved; a non-default backend
-    # keys separately, as two engines are only *required* to agree on the
-    # feature set both support.  The sentinel "auto" defers the choice to
-    # the registry (fastest backend covering the spec's requirements) and
-    # canonicalizes to the *resolved* name in cache keys.
+    # keys separately.  The sentinel "auto" runs AUTO_BACKEND and
+    # canonicalizes to that name in cache keys.
     backend: str = field(default=_DEFAULT_BACKEND,
                          metadata={"omit_when_default": True})
     # run-time timeout gating of every router (None: the static gating the
@@ -464,37 +465,22 @@ class SimulationSpec:
     def resolved_backend(self) -> str:
         """The concrete engine name this spec will execute on.
 
-        Explicit backends resolve to themselves; ``"auto"`` asks the
-        registry for the fastest backend whose declared capabilities
-        cover this spec's requirements (the public
-        :func:`repro.noc.backends.required_capabilities` /
-        :func:`repro.noc.backends.supports` API).
+        Explicit backends resolve to themselves; ``"auto"`` to
+        :data:`AUTO_BACKEND`, whatever else is registered.
         """
-        if self.backend != "auto":
-            return self.backend
-        from repro.noc.backends import resolve_backend
-
-        return resolve_backend(self).name
+        return AUTO_BACKEND if self.backend == "auto" else self.backend
 
     def cache_key(self) -> str:
         """Canonical content hash of the full run description.
 
-        ``backend="auto"`` hashes as the *resolved* engine name, so cache
+        ``backend="auto"`` hashes as :data:`AUTO_BACKEND`, so an auto spec
+        shares its key with the same spec naming that engine, and cache
         entries and ledger records are unambiguous about which engine
-        produced them -- and an auto spec that resolves to the default
-        engine shares the default spec's key (backends that agree bit-for-
-        bit may share results; the omit-when-default rule already makes
-        the explicit default and the omitted field identical).
+        produced them.
         """
         body = _canonical(self)
         if self.backend == "auto":
-            # the canonical form of this spec with the resolved name in
-            # place of "auto" (omitted when it names the default engine)
-            name = self.resolved_backend()
-            if name == _DEFAULT_BACKEND:
-                del body["backend"]
-            else:
-                body["backend"] = name
+            body["backend"] = AUTO_BACKEND
         return _digest(["simulate", body])
 
     def with_seed(self, seed: int) -> "SimulationSpec":
@@ -518,6 +504,7 @@ class SimulationSpec:
 
 
 __all__ = [
+    "AUTO_BACKEND",
     "FaultEvent",
     "FaultSchedule",
     "SimulationSpec",

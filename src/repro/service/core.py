@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 from repro.exec.cache import ResultCache
 from repro.exec.runner import SweepRunner
-from repro.noc.backends import check_capabilities, get_backend
+from repro.noc.backends import get_backend
 from repro.noc.spec import SimulationSpec, WireFormatError, spec_from_wire
 from repro.service.budget import (
     CLOCK_HZ,
@@ -45,12 +45,11 @@ from repro.service.budget import (
 from repro.telemetry.ledger import Ledger, RunRecord
 from repro.telemetry.metrics import MetricsRegistry
 
-#: How often a coalescing waiter polls an *external* claim holder
-#: (another process computing the same key).
+#: How often the service polls the keys *external* claim holders (other
+#: processes computing the same keys) hold, all of them from one thread.
 EXTERNAL_POLL_S = 0.05
 
-#: Executor threads per service: they bound concurrent batch executions
-#: *and* external-claim waiters.
+#: Executor threads per service: they bound concurrent batch executions.
 EXECUTOR_THREADS = 4
 
 #: How many tickets a service keeps: inserting one more drops the oldest,
@@ -129,6 +128,11 @@ class ExperimentService:
         self._pool = ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS, thread_name_prefix="repro-service"
         )
+        # keys another process holds: key -> (spec, client, deadline),
+        # polled by one thread that runs while any is left
+        self._external: dict[str, tuple] = {}
+        self._poller: threading.Thread | None = None
+        self._halt = threading.Event()
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -160,17 +164,16 @@ class ExperimentService:
     def decode(self, payload) -> SimulationSpec:
         """Wire document -> validated spec (raises on any malformation).
 
-        Capability validation happens here, eagerly, so an impossible
-        spec is refused at the front door with the structured
-        :class:`~repro.noc.backends.BackendCapabilityError` payload --
-        not hours later inside a worker process.
+        A backend name arrives from outside the program, so an
+        unregistered one is refused here (a ``ValueError``, answered as a
+        400 ``validation`` body), not later inside a worker process.
         """
         try:
             spec = spec_from_wire(payload)
         except WireFormatError:
             self._count("service_wire_errors_total")
             raise
-        check_capabilities(get_backend(spec.resolved_backend()), spec)
+        get_backend(spec.resolved_backend())
         return spec
 
     def submit(self, payloads, client: str = "anonymous") -> SweepTicket:
@@ -229,7 +232,7 @@ class ExperimentService:
                 # another *process* holds the claim: wait on its result,
                 # taking the key over if the holder orphans it
                 coalesced += 1
-                self._pool.submit(self._await_external, spec, key, client)
+                self._watch_external(spec, key, client)
         self._count("service_cache_served_total", cached)
         self._count("service_coalesced_total", coalesced)
         if to_run:
@@ -288,27 +291,69 @@ class ExperimentService:
             claim.release()
             self._resolve(key, error=failed.get(key))
 
-    def _await_external(self, spec, key: str, client: str) -> None:
+    def _watch_external(self, spec, key: str, client: str) -> None:
+        """Hand a key another process holds to the claim poller (started
+        here when none runs; one started after close() resolves the key
+        at once)."""
         from repro.exec.cache import DEFAULT_CLAIM_TTL_S  # as of this call
 
         # get_or_begin takes over a claim file older than the claim TTL,
         # and the holder's file predates this wait: one TTL from now this
-        # waiter holds the key unless another process claimed it anew
+        # service holds the key unless another process claimed it anew
         # meanwhile, which the second TTL allows for
         deadline = time.monotonic() + 2 * DEFAULT_CLAIM_TTL_S
-        while time.monotonic() < deadline:
-            value, claim = self.cache.get_or_begin(key)
-            if value is not None:
-                self._resolve(key)
-                return
-            if claim is not None:
-                # the external holder released without publishing (crash
-                # or failure): this waiter inherits the computation
-                self._execute_batch([spec], {key: claim}, client)
-                return
-            time.sleep(EXTERNAL_POLL_S)
-        self._resolve(key, error="timed out waiting for an external "
-                                 "claim holder")
+        with self._lock:
+            self._external[key] = (spec, client, deadline)
+            if self._poller is None:
+                self._poller = threading.Thread(
+                    target=self._poll_external, daemon=True,
+                    name="repro-service-claims")
+                self._poller.start()
+
+    def _poll_external(self) -> None:
+        """Poll every externally held key until none is left (or close).
+
+        A key whose holder published resolves; the keys whose holder
+        released them unpublished (crash or failure) are taken over and
+        go to the executor as one batch per client.
+        """
+        while not self._halt.is_set():
+            with self._lock:
+                watched = list(self._external.items())
+            batches: dict[str, tuple[list, dict]] = {}
+            for key, (spec, client, deadline) in watched:
+                try:
+                    value, claim = self.cache.get_or_begin(key)
+                except Exception as err:  # noqa: BLE001 -- waiters must wake
+                    claim, error = None, f"{type(err).__name__}: {err}"
+                else:
+                    if value is None and claim is None \
+                            and time.monotonic() < deadline:
+                        continue  # still held elsewhere
+                    error = (None if value is not None else
+                             "timed out waiting for an external claim holder")
+                with self._lock:
+                    del self._external[key]
+                if claim is not None:
+                    specs, claims = batches.setdefault(client, ([], {}))
+                    specs.append(spec)
+                    claims[key] = claim
+                else:
+                    self._resolve(key, error=error)
+            for client, (specs, claims) in batches.items():
+                self._pool.submit(self._execute_batch, specs, claims, client)
+            with self._lock:
+                if not self._external:
+                    self._poller = None
+                    return
+            self._halt.wait(EXTERNAL_POLL_S)
+        # closing: wake every waiter still parked on an external key
+        with self._lock:
+            keys = list(self._external)
+            self._external.clear()
+            self._poller = None
+        for key in keys:
+            self._resolve(key, error="service closed")
 
     def _resolve(self, key: str, error: str | None = None) -> None:
         with self._lock:
@@ -391,8 +436,14 @@ class ExperimentService:
         return doc
 
     def close(self) -> None:
-        """Drain the executor; idempotent."""
+        """Stop the claim poller, waking its waiters, and drain the
+        executor; idempotent."""
         self._closed = True
+        self._halt.set()
+        with self._lock:
+            poller = self._poller
+        if poller is not None:
+            poller.join()
         self._pool.shutdown(wait=True)
 
 

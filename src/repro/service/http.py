@@ -2,8 +2,7 @@
 
 Stdlib ``http.server`` only, on the same :mod:`repro.util.httpd` server
 as the watch plane's :class:`~repro.telemetry.live.MetricsServer`.  JSON
-in, JSON out; every error response carries one structured shape -- the
-same payload fields as :class:`~repro.noc.backends.BackendCapabilityError`::
+in, JSON out; every error response carries one structured shape::
 
     {"error": {"type": ..., "message": ..., "missing": [...],
                "alternatives": [...]}}
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import json
 
-from repro.noc.backends import BackendCapabilityError
 from repro.noc.spec import WireFormatError
 from repro.service.budget import BudgetExhausted, RateLimited
 from repro.service.core import ExperimentService
@@ -49,9 +47,8 @@ CLIENT_HEADER = "X-Repro-Client"
 def error_payload(err: Exception) -> tuple[int, dict]:
     """(HTTP status, structured body) for every refusal the API issues.
 
-    One shape for every error type -- ``missing`` and ``alternatives``
-    are meaningful for capability refusals and empty otherwise, exactly
-    the fields :class:`BackendCapabilityError` carries in-process.
+    One shape for every error type; ``missing`` and ``alternatives`` are
+    always empty, kept so the v1 body stays as clients parse it.
     """
     body = {
         "type": "error",
@@ -59,14 +56,6 @@ def error_payload(err: Exception) -> tuple[int, dict]:
         "missing": [],
         "alternatives": [],
     }
-    if isinstance(err, BackendCapabilityError):
-        body.update(
-            type="backend_capability",
-            missing=sorted(err.missing),
-            alternatives=list(err.alternatives),
-            backend=err.backend,
-        )
-        return 400, body
     if isinstance(err, WireFormatError):
         body.update(type="wire_format", code=err.code)
         return 400, body

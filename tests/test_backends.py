@@ -1,12 +1,11 @@
 """Tests for the pluggable simulation-backend registry and its engines.
 
-Covers the registry contract (register / look up / list), the capability
-model that lets a limited engine decline runs it cannot simulate, the
-``backend="auto"`` selection API built on :func:`required_capabilities` /
-:func:`supports`, cache-key stability across the backend field's
+Covers the registry contract (register / look up / list), that every
+engine runs every spec feature, ``backend="auto"`` (always the
+vectorized engine), cache-key stability across the backend field's
 introduction, and -- most importantly -- cross-backend equivalence: the
 vectorized engine must be *bit-identical* to the reference simulator on
-every capability, fault schedules, timeout gating and adaptive routing
+every spec, fault schedules, timeout gating and adaptive routing
 included.
 """
 
@@ -22,26 +21,16 @@ from hypothesis import strategies as st
 from repro.config import NoCConfig
 from repro.core.topological import SprintTopology
 from repro.noc.backends import (
-    ALL_CAPABILITIES,
-    CAP_ADAPTIVE_ROUTING,
-    CAP_FAULTS,
-    CAP_GATING,
-    CAP_SAMPLING,
-    CAP_TRACING,
-    BackendCapabilityError,
     ReferenceBackend,
     SimBackend,
     VectorizedBackend,
-    check_capabilities,
     get_backend,
     list_backends,
     register_backend,
-    required_capabilities,
-    resolve_backend,
-    supports,
 )
 from repro.noc.sim import simulate, run_simulation
 from repro.noc.spec import (
+    AUTO_BACKEND,
     FaultEvent,
     FaultSchedule,
     SimulationSpec,
@@ -64,20 +53,18 @@ def make_spec(level=4, rate=0.1, pattern="uniform", seed=0, routing="cdor",
 
 
 @contextlib.contextmanager
-def scratch_backend(name="limited", capabilities=frozenset({CAP_TRACING,
-                                                            CAP_SAMPLING}),
-                    speed_rank=50):
-    """Register a throwaway backend (delegates to the reference engine)."""
+def scratch_backend(name="limited"):
+    """Register a throwaway backend (delegates to the reference engine and
+    records the specs it ran on ``calls``)."""
     from repro.noc.backends.base import _REGISTRY
 
     class Scratch:
         def __init__(self):
             self.name = name
-            self.capabilities = capabilities
-            self.speed_rank = speed_rank
+            self.calls = []
 
         def run(self, spec, *, telemetry=None):
-            check_capabilities(self, spec, telemetry)
+            self.calls.append(spec)
             return get_backend("reference").run(spec, telemetry=telemetry)
 
     backend = register_backend(Scratch())
@@ -120,127 +107,43 @@ class TestRegistry:
 
     def test_malformed_backends_rejected(self):
         class NoName:
-            capabilities = frozenset()
             def run(self, spec, **kw): ...
 
         class NoRun:
             name = "norun"
-            capabilities = frozenset()
-
-        class BadCaps:
-            name = "badcaps"
-            capabilities = ["faults"]
-            def run(self, spec, **kw): ...
 
         with pytest.raises(ValueError, match="name"):
             register_backend(NoName())
         with pytest.raises(ValueError, match="run"):
             register_backend(NoRun())
-        with pytest.raises(ValueError, match="capabilities"):
-            register_backend(BadCaps())
-
-    def test_declared_capability_sets(self):
-        # both built-in engines now cover the full feature set; capability
-        # checks exist for third-party backends that do not
-        assert get_backend("reference").capabilities == ALL_CAPABILITIES
-        assert get_backend("vectorized").capabilities == ALL_CAPABILITIES
 
 
 class TestCapabilities:
-    def test_plain_spec_needs_nothing(self):
-        assert required_capabilities(make_spec()) == frozenset()
-
-    def test_faulty_spec_needs_faults(self):
-        spec = make_spec(level=16, faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        assert CAP_FAULTS in required_capabilities(spec)
-
-    def test_adaptive_routing_flagged(self):
-        spec = make_spec(level=16, routing="west_first")
-        assert CAP_ADAPTIVE_ROUTING in required_capabilities(spec)
-
-    def test_gating_policy_flagged(self):
-        need = required_capabilities(make_spec(gating=TimeoutGating(16)))
-        assert CAP_GATING in need
-
-    def test_telemetry_needs_tracing_and_sampling(self):
-        from repro.telemetry import Telemetry
-
-        tracing = required_capabilities(make_spec(), telemetry=Telemetry())
-        assert CAP_TRACING in tracing and CAP_SAMPLING not in tracing
-        sampling = required_capabilities(
-            make_spec(), telemetry=Telemetry(sample_interval=50))
-        assert CAP_SAMPLING in sampling
+    """Every registered engine runs every valid spec: faults, timeout
+    gating, adaptive routing and telemetry sampling included."""
 
     def test_vectorized_accepts_full_capability_runs(self):
         engine = get_backend("vectorized")
         faulted = make_spec(level=16, gating=TimeoutGating(16),
                             faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, faulted)
-        check_capabilities(engine, make_spec(level=16, routing="negative_first"))
-
-    def test_limited_backend_declines_with_structured_payload(self):
-        spec = make_spec(level=16, gating=TimeoutGating(16),
-                         faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
-        with scratch_backend() as backend:
-            with pytest.raises(BackendCapabilityError) as excinfo:
-                check_capabilities(backend, spec)
-        err = excinfo.value
-        assert err.backend == backend.name
-        assert err.missing == frozenset({CAP_FAULTS, CAP_GATING})
-        # both capable engines are offered as alternatives, plus the hint
-        assert set(err.alternatives) >= {"reference", "vectorized"}
-        assert "backend='auto'" in str(err)
-
-    def test_supports_uses_declared_capabilities(self):
-        spec = make_spec(level=16, routing="west_first")
-        assert supports(get_backend("vectorized"), spec)
-        assert supports(get_backend("reference"), spec)
-        with scratch_backend() as backend:
-            assert not supports(backend, spec)
-            assert supports(backend, make_spec())
-
-    def test_requirements_public_api(self):
-        spec = make_spec(level=16, gating=TimeoutGating(16),
-                         faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
-        need = required_capabilities(spec)
-        assert need == frozenset({CAP_FAULTS, CAP_GATING})
-        adaptive = required_capabilities(
-            make_spec(level=16, routing="west_first"))
-        assert adaptive == frozenset({CAP_ADAPTIVE_ROUTING})
-        assert required_capabilities(make_spec()) == frozenset()
+        result = engine.run(faulted)
+        assert result.reconfigurations >= 1 and result.gating is not None
+        adaptive = make_spec(level=16, routing="negative_first")
+        assert engine.run(adaptive).packets_measured > 0
 
     def test_vectorized_accepts_sampling(self):
         from repro.telemetry import Telemetry
 
-        engine = get_backend("vectorized")
-        check_capabilities(engine, make_spec(),
-                           telemetry=Telemetry(sample_interval=25))
-
-    def test_sampling_refusal_keeps_its_hint(self):
-        """A backend without the capability still gets the guidance."""
-        from repro.telemetry import Telemetry
-
-        class NoSampling:
-            name = "nosampling"
-            capabilities = frozenset({CAP_TRACING})
-            def run(self, spec, **kw): ...
-
-        with pytest.raises(BackendCapabilityError, match="sample_interval"):
-            check_capabilities(NoSampling(), make_spec(),
-                               telemetry=Telemetry(sample_interval=25))
-
-    def test_error_carries_structured_fields(self):
-        err = BackendCapabilityError("vectorized", frozenset({CAP_FAULTS}))
-        assert err.backend == "vectorized"
-        assert err.missing == frozenset({CAP_FAULTS})
-        assert isinstance(err, ValueError)
+        tel = Telemetry(sample_interval=25)
+        get_backend("vectorized").run(make_spec(), telemetry=tel)
+        assert any(event["ev"] == "sample" for event in tel.tracer.events)
 
     def test_reference_accepts_everything(self):
         engine = get_backend("reference")
         spec = make_spec(level=16, gating=TimeoutGating(16),
                          faults=FaultSchedule((FaultEvent(cycle=100, node=5),)))
-        check_capabilities(engine, spec)
+        result = engine.run(spec)
+        assert result.reconfigurations >= 1 and result.gating is not None
 
 
 class TestCacheKeys:
@@ -293,13 +196,12 @@ class TestCacheKeys:
 
 
 class TestAutoBackend:
-    """``backend="auto"`` resolves through the public
-    required_capabilities/supports API to the fastest capable engine,
-    without perturbing cache keys."""
+    """``backend="auto"`` runs the vectorized engine, whatever else is
+    registered, without perturbing cache keys."""
 
     def test_auto_resolves_to_fastest_capable(self):
         assert make_spec(backend="auto").resolved_backend() == "vectorized"
-        assert resolve_backend(make_spec()).name == "vectorized"
+        assert AUTO_BACKEND == "vectorized"
 
     def test_auto_covers_the_full_capability_grid(self):
         faulted = make_spec(level=16, backend="auto", faults=FaultSchedule(
@@ -308,46 +210,53 @@ class TestAutoBackend:
         assert faulted.resolved_backend() == "vectorized"
         assert adaptive.resolved_backend() == "vectorized"
 
-    def test_auto_prefers_higher_speed_rank(self):
-        with scratch_backend(name="turbo", capabilities=ALL_CAPABILITIES,
-                             speed_rank=99):
-            assert make_spec(backend="auto").resolved_backend() == "turbo"
+    def test_auto_ignores_other_registered_engines(self):
+        """Registering another engine changes neither what an auto spec
+        resolves to, nor its cache key, nor the engine that runs it."""
+        spec = make_spec(backend="auto")
+        key = spec.cache_key()
+        original = get_backend("vectorized")
+        ran = []
 
-    def test_auto_skips_backends_missing_a_capability(self):
-        spec = make_spec(level=16, backend="auto", faults=FaultSchedule(
-            (FaultEvent(cycle=100, node=5),)))
-        with scratch_backend(name="turbo", speed_rank=99):  # no faults token
-            assert spec.resolved_backend() == "vectorized"
+        class Recording:
+            name = "vectorized"
+
+            def run(self, spec, *, telemetry=None):
+                ran.append(spec)
+                return original.run(spec, telemetry=telemetry)
+
+        with scratch_backend(name="turbo") as turbo:
+            register_backend(Recording(), replace=True)
+            try:
+                assert spec.resolved_backend() == "vectorized"
+                assert spec.cache_key() == key
+                result = simulate(spec)
+            finally:
+                register_backend(original, replace=True)
+        assert key == make_spec(backend="vectorized").cache_key()
+        assert ran == [spec] and turbo.calls == []
+        assert_identical(result, simulate(spec, backend="vectorized"),
+                         "auto with another engine registered")
 
     def test_auto_resolution_failure_is_structured(self):
+        """Resolution reads no registry, so it cannot fail; running an
+        auto spec whose engine is not registered is refused by name."""
         from repro.noc.backends.base import _REGISTRY
 
+        spec = make_spec(level=16, backend="auto", faults=FaultSchedule(
+            (FaultEvent(cycle=100, node=5),)))
         saved = dict(_REGISTRY)
         try:
             _REGISTRY.clear()
-            with scratch_backend():  # tracing/sampling only
-                spec = make_spec(level=16, backend="auto", faults=FaultSchedule(
-                    (FaultEvent(cycle=100, node=5),)))
-                with pytest.raises(BackendCapabilityError, match="auto"):
-                    spec.resolved_backend()
+            with scratch_backend() as backend:
+                assert spec.resolved_backend() == "vectorized"
+                with pytest.raises(ValueError,
+                                   match="'vectorized'; registered: limited"):
+                    simulate(spec)
+            assert backend.calls == []
         finally:
             _REGISTRY.clear()
             _REGISTRY.update(saved)
-
-    def test_resolution_derives_requirements_once(self, monkeypatch):
-        from repro.noc.backends import base
-
-        calls = []
-        required = base.required_capabilities
-
-        def counting(spec, telemetry=None):
-            calls.append(spec)
-            return required(spec, telemetry)
-
-        monkeypatch.setattr(base, "required_capabilities", counting)
-        assert len(list_backends()) >= 2
-        assert resolve_backend(make_spec()).name == "vectorized"
-        assert len(calls) == 1
 
     def test_auto_cache_key_is_the_resolved_engines(self):
         auto = make_spec(backend="auto")
@@ -358,8 +267,7 @@ class TestAutoBackend:
         explicit = make_spec(backend="vectorized")
         default = make_spec()
         keys = (explicit.cache_key(), default.cache_key())
-        with scratch_backend(name="turbo", capabilities=ALL_CAPABILITIES,
-                             speed_rank=999):
+        with scratch_backend(name="turbo"):
             assert (explicit.cache_key(), default.cache_key()) == keys
 
     def test_simulate_accepts_auto(self):
@@ -965,30 +873,14 @@ class TestDriverPlumbing:
         out = capsys.readouterr().out
         assert "grid sweep" in out and "min lvl" in out
 
-    def test_cli_rejects_backend_capability_mismatch(self, capsys):
-        """Eager grid validation reports *every* incompatible point."""
-        from repro.cli import main
-
-        with scratch_backend() as backend:  # no faults capability
-            code = main(["sweep", "--levels", "16", "--rates", "0.1", "0.2",
-                         "--patterns", "uniform", "transpose",
-                         "--backend", backend.name, "--fault", "5@100"])
-        out = capsys.readouterr().out
-        assert code == 2
-        # one line per bad point (4) plus the closing summary line
-        assert out.count("invalid sweep grid") == 5
-        assert "4 of 4 points" in out
-        assert "does not support: faults" in out
-
     def test_cli_backends_matrix(self, capsys):
         from repro.cli import main
 
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
         assert "reference" in out and "vectorized" in out
-        for token in sorted(ALL_CAPABILITIES):
-            assert token in out
-        assert "auto" in out
+        assert "capabilities" not in out and "speed rank" not in out
+        assert "backend='auto'" in out and "runs 'vectorized'" in out
 
     def test_system_backend_parameter(self):
         from repro.core.system import NoCSprintingSystem

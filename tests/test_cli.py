@@ -97,6 +97,25 @@ class TestCommands:
         assert main(["sweep", *flags]) == 2
         assert "invalid sweep grid: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flags", [
+        ["--workers", "3"], ["--seed", "7"], ["--warmup", "50"],
+        ["--measure", "50"], ["--drain", "50"], ["--repeat", "2"],
+        ["--sample-interval", "50", "--trace", "sweep.jsonl"],
+    ])
+    def test_sweep_grid_flags_select_grid_mode(self, flags, monkeypatch,
+                                               capsys):
+        # the legacy summary reads none of them, so it must not run
+        grids = []
+        monkeypatch.setattr("repro.cli._cmd_sweep_grid",
+                            lambda args: grids.append(args) or 0)
+        assert main(["sweep", *flags]) == 0
+        assert len(grids) == 1
+        assert "PARSEC" not in capsys.readouterr().out
+
+    def test_sweep_refuses_sample_interval_without_a_trace(self, capsys):
+        assert main(["sweep", "--sample-interval", "50"]) == 2
+        assert "invalid sweep grid: " in capsys.readouterr().out
+
     def test_network(self, capsys):
         assert main(["network", "--level", "2", "--rates", "0.1"]) == 0
         out = capsys.readouterr().out

@@ -274,6 +274,20 @@ class TestConfigValidation:
         config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=0)
         assert SweepRunner(workers=0, fabric=config).workers == 0
 
+    def test_runner_refuses_max_retries_with_a_fabric(self, tmp_path, capsys):
+        # a fabric bounds attempts by its quarantine_after; a max_retries
+        # beside it would be dropped without a word
+        config = FabricConfig(queue_dir=str(tmp_path / "q"), workers=1)
+        with pytest.raises(ValueError, match="quarantine_after"):
+            SweepRunner(fabric=config, max_retries=5)
+        from repro.cli import main
+
+        assert main(["sweep", "--levels", "2", "--rates", "0.05",
+                     "--fabric", str(tmp_path / "q"),
+                     "--max-retries", "5"]) == 2
+        assert "invalid sweep grid: " in capsys.readouterr().out
+        assert not (tmp_path / "q").exists()
+
 
 class TestFabricSweep:
     def test_matches_serial_results_bit_for_bit(self, tmp_path):

@@ -170,22 +170,22 @@ class TestLedger:
         assert ledger.path.read_text(encoding="utf-8") == line
 
     def test_sweep_record_resolves_auto_once(self, tmp_path, monkeypatch):
-        """A 24-point auto fig-9 request resolves its engines once, before
-        dispatch, and its ledger record reuses them without resolving
-        again; specs on two engines still record "mixed"."""
+        """A 24-point auto fig-9 request resolves each spec's engine once,
+        before dispatch, and its ledger record reuses them without
+        resolving again; specs on two engines still record "mixed"."""
         from benchmarks.bench_fig09_network_latency import paired_specs
 
-        import repro.noc.backends as backends
         from repro.exec import runner as runner_mod
+        from repro.noc.spec import SimulationSpec
 
-        resolve = backends.resolve_backend
-        calls = {"_engines": [], "_record_run": []}
+        resolve = SimulationSpec.resolved_backend
+        calls = {"run": [], "_record_run": []}
         inside = []
 
-        def counting(*args, **kwargs):
+        def counting(spec):
             if inside:
-                calls[inside[-1]].append(args)
-            return resolve(*args, **kwargs)
+                calls[inside[-1]].append(spec)
+            return resolve(spec)
 
         def spied(name, call):
             def wrapper(*args, **kwargs):
@@ -196,9 +196,9 @@ class TestLedger:
                     inside.pop()
             return wrapper
 
-        monkeypatch.setattr(backends, "resolve_backend", counting)
-        monkeypatch.setattr(runner_mod, "_engines",
-                            spied("_engines", runner_mod._engines))
+        monkeypatch.setattr(SimulationSpec, "resolved_backend", counting)
+        monkeypatch.setattr(runner_mod.SweepRunner, "run",
+                            spied("run", runner_mod.SweepRunner.run))
         monkeypatch.setattr(runner_mod.SweepRunner, "_record_run",
                             spied("_record_run",
                                   runner_mod.SweepRunner._record_run))
@@ -206,9 +206,9 @@ class TestLedger:
         assert len(specs) == 24
         ledger = Ledger(directory=tmp_path)
         report = SweepRunner(ledger=ledger).run(specs)
-        assert len(calls["_engines"]) == 1
+        assert len(calls["run"]) == len(specs)
         assert calls["_record_run"] == []
-        assert report.run_record.backend == specs[0].resolved_backend()
+        assert report.run_record.backend == "vectorized"
 
         mixed = [small_spec(rate=0.05).with_backend("reference"),
                  small_spec(rate=0.05).with_backend("vectorized")]

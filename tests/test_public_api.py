@@ -32,9 +32,8 @@ PACKAGES = {
         "MetricPolicy",
     ],
     "repro.noc.backends": [
-        "SimBackend", "BackendCapabilityError", "register_backend",
-        "get_backend", "list_backends", "required_capabilities",
-        "check_capabilities", "ReferenceBackend", "VectorizedBackend",
+        "SimBackend", "register_backend", "get_backend", "list_backends",
+        "ReferenceBackend", "VectorizedBackend",
     ],
     "repro.core": [
         "SprintTopology", "CdorRouter", "LbdrRouter", "Floorplan",
@@ -47,8 +46,7 @@ PACKAGES = {
         "run_simulation", "run_llc_simulation", "zero_load_latency",
         "TraceRecorder", "TraceTraffic", "build_adaptive_table",
         "TimeoutGatingPolicy", "break_even_cycles", "SimBackend",
-        "BackendCapabilityError", "register_backend", "get_backend",
-        "list_backends",
+        "register_backend", "get_backend", "list_backends",
     ],
     "repro.power": [
         "RouterPowerModel", "LinkPowerModel", "ChipPowerModel",

@@ -391,6 +391,92 @@ class TestServiceSingleflight:
         assert (ticket.new, ticket.coalesced) == (0, 1)
         assert service.counter_value("service_simulations_total") == 1
 
+    def test_external_claims_park_no_executor_thread(self, tmp_path):
+        """Keys another process holds are polled from one thread: with as
+        many of them as executor threads, a fresh spec still resolves,
+        and close() wakes their waiters and returns."""
+        from repro.service.core import EXECUTOR_THREADS
+
+        cache_dir = tmp_path / "cache"
+        service = ExperimentService(
+            cache=ResultCache(directory=str(cache_dir)), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        held = [spec_from_wire(spec_to_wire(make_spec(seed=200 + i)))
+                for i in range(EXECUTOR_THREADS)]
+        for spec in held:  # fresh claim files: held by a live process
+            (cache_dir / f"{spec.cache_key()}.claim").write_text(
+                '{"pid": 0, "ts": 0}')
+        fresh = spec_to_wire(make_spec(seed=210))
+        closer = threading.Thread(target=service.close, daemon=True)
+        try:
+            for spec in held:
+                service.submit([spec_to_wire(spec)], client="held")
+            service.submit([fresh], client="fresh")
+            value = service.wait(spec_from_wire(fresh).cache_key(),
+                                 timeout_s=10)
+        finally:
+            closer.start()
+            closer.join(timeout=5)
+        assert value is not None
+        assert not closer.is_alive(), "close() blocked on external claims"
+        for spec in held:
+            assert service.status(spec.cache_key()) == "failed"
+            assert "closed" in service.error(spec.cache_key())
+
+    def test_external_waiters_racing_the_poller_all_resolve(self, tmp_path,
+                                                           monkeypatch):
+        """Keys registered while the claim poller exits or restarts are
+        never lost: every externally held key resolves once its holder
+        publishes."""
+        import sys
+
+        monkeypatch.setattr("repro.service.core.EXTERNAL_POLL_S", 0.001)
+        cache_dir = tmp_path / "cache"
+        service = ExperimentService(
+            cache=ResultCache(directory=str(cache_dir)), workers=1,
+            ledger=Ledger(directory=str(tmp_path / "ledger")),
+        )
+        holder = ResultCache(directory=str(cache_dir))  # the other process
+        specs = [spec_from_wire(spec_to_wire(make_spec(seed=300 + i)))
+                 for i in range(128)]
+        claims = {spec.cache_key(): holder.get_or_begin(spec.cache_key())[1]
+                  for spec in specs}
+        threads_n = 8
+        barrier = threading.Barrier(threads_n)
+        values = {}
+
+        def submit_and_publish(mine):
+            # one key at a time per thread, so the poller's key set
+            # empties (and the poller exits) between registrations
+            barrier.wait(timeout=10)
+            for spec in mine:
+                key = spec.cache_key()
+                service.submit([spec_to_wire(spec)], client="racer")
+                holder.put(key, "published")
+                claims[key].release()
+                values[key] = service.wait(key, timeout_s=2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_and_publish,
+                                        args=(specs[i::threads_n],))
+                       for i in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            service.metrics_text()  # refreshes the in-flight gauge
+            # a lost key would stay in flight until close()
+            assert service.counter_value("service_inflight") == 0
+        finally:
+            sys.setswitchinterval(interval)
+            service.close()
+        assert list(values.values()) == ["published"] * len(specs)
+        assert service.counter_value("service_simulations_total") == 0
+
     def test_one_spec_batches_leave_only_result_entries(self, tmp_path):
         """A service batch checkpoints nothing beside its results: no
         side-record on disk and none held in the cache's memory."""
@@ -708,25 +794,17 @@ class TestHttpApi:
                      "service_budget_spent_seconds", "result_cache_hits"):
             assert name in text, f"{name} missing from /metrics"
 
-    def test_capability_refusal_is_a_structured_400(self, server):
-        """An impossible spec is refused at the front door with the same
-        payload fields BackendCapabilityError carries in-process."""
-        from tests.test_backends import scratch_backend
-
-        faulty = make_spec(
-            backend="limited",
-            faults=FaultSchedule(events=(
-                FaultEvent(cycle=10, kind="router", node=5),)),
-        )
-        with scratch_backend():  # registers "limited" without CAP_FAULTS
-            status, _, doc = http_json(
-                server.url + "/v1/evaluate",
-                data=json.dumps(spec_to_wire(faulty)).encode())
+    def test_unregistered_engine_is_a_structured_400(self, server):
+        """A backend name arrives from outside the program: an
+        unregistered one is refused at the front door."""
+        status, _, doc = http_json(
+            server.url + "/v1/evaluate",
+            data=json.dumps(spec_to_wire(make_spec(backend="gpu"))).encode())
         assert status == 400
-        assert doc["error"]["type"] == "backend_capability"
-        assert "faults" in doc["error"]["missing"]
-        assert doc["error"]["alternatives"], "no alternative backends offered"
-        assert doc["error"]["backend"] == "limited"
+        assert doc["error"]["type"] == "validation"
+        assert "'gpu'" in doc["error"]["message"]
+        assert doc["error"]["missing"] == []
+        assert doc["error"]["alternatives"] == []
 
     def test_unsupported_method_and_unknown_route(self, server):
         status, _, doc = http_json(server.url + "/v1/nonsense",
@@ -746,18 +824,6 @@ class TestHttpApi:
 # the error payload contract + CLI parity path
 # ----------------------------------------------------------------------
 class TestErrorPayloadShape:
-    def test_capability_error_payload_matches_in_process_fields(self):
-        from repro.noc.backends import BackendCapabilityError
-
-        err = BackendCapabilityError(
-            "limited", frozenset({"faults"}), alternatives=("reference",))
-        status, body = error_payload(err)
-        assert status == 400
-        assert body["type"] == "backend_capability"
-        assert body["missing"] == ["faults"]
-        assert body["alternatives"] == ["reference"]
-        assert body["backend"] == "limited"
-
     def test_every_refusal_type_has_the_same_shape(self):
         for err in (WireFormatError("x"), RateLimited("c", 1.0),
                     BudgetExhausted("c", 2.0, 1.0), ValueError("v"),
